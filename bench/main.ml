@@ -309,7 +309,7 @@ let profile_one ?(verify_each = false) (core : Scaiev.Datasheet.t) (e : Isax.Reg
    the full grid, the warm pass must replay every point (including the
    ASIC measurement) from cache — the acceptance gate for the
    content-addressed sessions. *)
-let dse_sweep_json ?(assert_warm = false) () =
+let dse_sweep_json () =
   let isax = "dotprod" and core = Scaiev.Datasheet.vexriscv in
   let tu = Isax.Registry.compile_by_name isax in
   let measure c =
@@ -332,28 +332,13 @@ let dse_sweep_json ?(assert_warm = false) () =
     Diag.fatalf ~code:"E0901"
       "internal: warm DSE sweep speedup %.2fx < 2x (cold %.1f ms, warm %.1f ms)" speedup
       cold_ms warm_ms;
-  (* the persistent solver instances behind the sweep: the cold grid is
-     evaluated largest cycle factor first, so every later grid point
-     warm-starts its re-schedule from the previous least element *)
+  (* the sweep session's scheduling counters: ILP schedules run and their
+     Bellman-Ford sweeps *)
   let sst = Longnail.Flow.session_solver_stats ss.Longnail.Dse.ss_flow in
   let pareto = List.length (List.filter (fun (p : Longnail.Dse.point) -> p.dp_pareto) cold) in
-  if assert_warm then begin
-    if sst.Lp.Instance.is_warm_hits = 0 then
-      Diag.fatalf ~code:"E0901"
-        "internal: --assert-dse-warm: the sweep's solver instances recorded no warm hits \
-         (%d resolves)"
-        sst.Lp.Instance.is_resolves;
-    Printf.eprintf "dse-warm assertion: %d/%d warm resolves, %.2fx sweep speedup\n%!"
-      sst.Lp.Instance.is_warm_hits sst.Lp.Instance.is_resolves speedup
-  end;
   let solver_json =
-    Printf.sprintf
-      "\"solver\":{\"instances\":%d,\"resolves\":%d,\"warm_hits\":%d,\"warm_misses\":%d,\"fastpath\":%d,\"bf_rounds\":%d,\"bnb_nodes\":%d,\"pivots\":%d,\"phase1_pivots\":%d,\"dual_pivots\":%d}"
-      (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow)
-      sst.Lp.Instance.is_resolves sst.Lp.Instance.is_warm_hits sst.Lp.Instance.is_warm_misses
-      sst.Lp.Instance.is_fastpath sst.Lp.Instance.is_bf_rounds sst.Lp.Instance.is_bnb_nodes
-      sst.Lp.Instance.is_pivots sst.Lp.Instance.is_phase1_pivots
-      sst.Lp.Instance.is_dual_pivots
+    Printf.sprintf "\"solver\":{\"schedules\":%d,\"bf_rounds\":%d}" sst.Lp.Instance.is_resolves
+      sst.Lp.Instance.is_bf_rounds
   in
   let stats_json stats =
     String.concat ","
@@ -372,9 +357,9 @@ let dse_sweep_json ?(assert_warm = false) () =
       ]
   in
   Printf.sprintf
-    "\"cache\":{%s},%s,\"dse_sweep\":{\"isax\":\"%s\",\"core\":\"%s\",\"points\":%d,\"pareto_points\":%d,\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"warm_speedup\":%.2f,\"solver_warm_hits\":%d}"
+    "\"cache\":{%s},%s,\"dse_sweep\":{\"isax\":\"%s\",\"core\":\"%s\",\"points\":%d,\"pareto_points\":%d,\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"warm_speedup\":%.2f}"
     (stats_json cache_stats) solver_json isax core.Scaiev.Datasheet.core_name
-    (List.length cold) pareto cold_ms warm_ms speedup sst.Lp.Instance.is_warm_hits
+    (List.length cold) pareto cold_ms warm_ms speedup
 
 (* Parallel-vs-sequential equivalence: compile the full bundled
    ISAX x core grid once at jobs=1 and once at the requested job count,
@@ -737,7 +722,7 @@ let rtl_sim_json ~assert_sim_equal () =
     trace_cycles interp_cps compiled_cps speedup equal
 
 let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal = false)
-    ?(assert_dse_warm = false) ?(assert_narrow = false) ~json_path ~schema_path () =
+    ?(assert_narrow = false) ~json_path ~schema_path () =
   let results =
     List.concat_map
       (fun (core : Scaiev.Datasheet.t) ->
@@ -765,7 +750,7 @@ let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal 
     | [] -> assert false
   in
   Printf.eprintf "running warm-vs-cold DSE sweep...\n%!";
-  let sweep_json = dse_sweep_json ~assert_warm:assert_dse_warm () in
+  let sweep_json = dse_sweep_json () in
   Printf.eprintf "running parallel-vs-sequential grid (jobs=%d)...\n%!" jobs;
   let parallel_json = par_json ~jobs ~verify_each ~assert_equal:assert_par_equal () in
   Printf.eprintf "running cold-vs-warm disk store...\n%!";
@@ -1035,7 +1020,7 @@ let usage_error fmt =
     (fun m ->
       Printf.eprintf
         "bench: %s\navailable targets: %s\nflags: --json FILE --schema FILE (with the 'perf' target), --repeat N,\n\
-        \       --assert-cache-hits, --assert-par-equal, --assert-sim-equal, --assert-dse-warm,\n\
+        \       --assert-cache-hits, --assert-par-equal, --assert-sim-equal,\n\
         \       --assert-narrow,\n\
         \       plus the shared knob flags (--jobs N, --scheduler KIND, ...)\n"
         m
@@ -1060,47 +1045,45 @@ let main () =
     | Error m -> usage_error "%s" m
   in
   let rec parse
-      (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
+      (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_nw)
       = function
     | [] ->
         ( List.rev targets, json, schema, repeat, assert_hits, assert_par, assert_sim,
-          assert_dse, assert_nw )
+          assert_nw )
     | "--json" :: path :: rest ->
         parse
-          (targets, Some path, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
+          (targets, Some path, schema, repeat, assert_hits, assert_par, assert_sim, assert_nw)
           rest
     | "--schema" :: path :: rest ->
         parse
-          (targets, json, Some path, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
+          (targets, json, Some path, repeat, assert_hits, assert_par, assert_sim, assert_nw)
           rest
     | "--repeat" :: n :: rest -> (
         match int_of_string_opt n with
         | Some k when k >= 1 ->
             parse
-              (targets, json, schema, k, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
+              (targets, json, schema, k, assert_hits, assert_par, assert_sim, assert_nw)
               rest
         | _ -> usage_error "--repeat expects an integer >= 1, got '%s'" n)
     | "--assert-cache-hits" :: rest ->
-        parse (targets, json, schema, repeat, true, assert_par, assert_sim, assert_dse, assert_nw) rest
+        parse (targets, json, schema, repeat, true, assert_par, assert_sim, assert_nw) rest
     | "--assert-par-equal" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, true, assert_sim, assert_dse, assert_nw) rest
+        parse (targets, json, schema, repeat, assert_hits, true, assert_sim, assert_nw) rest
     | "--assert-sim-equal" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, true, assert_dse, assert_nw) rest
-    | "--assert-dse-warm" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, true, assert_nw) rest
+        parse (targets, json, schema, repeat, assert_hits, assert_par, true, assert_nw) rest
     | "--assert-narrow" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, true) rest
+        parse (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, true) rest
     | ("--json" | "--schema" | "--repeat") :: [] -> usage_error "missing flag argument"
     | a :: _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
         usage_error "unknown flag '%s'" a
     | a :: rest ->
         parse
-          (a :: targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
+          (a :: targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_nw)
           rest
   in
   let names, json, schema, repeat, assert_hits, assert_par_equal, assert_sim_equal,
-      assert_dse_warm, assert_narrow =
-    parse ([], None, None, 1, false, false, false, false, false) rest
+      assert_narrow =
+    parse ([], None, None, 1, false, false, false, false) rest
   in
   List.iter
     (fun n -> if not (List.mem_assoc n all_targets) then usage_error "unknown target '%s'" n)
@@ -1122,7 +1105,7 @@ let main () =
           | "perf", Some json_path ->
               perf_json ~jobs:kf.Longnail.Knob_flags.jobs
                 ~verify_each:kf.Longnail.Knob_flags.verify_each ~assert_par_equal
-                ~assert_sim_equal ~assert_dse_warm ~assert_narrow ~json_path
+                ~assert_sim_equal ~assert_narrow ~json_path
                 ~schema_path:schema ()
           | _ -> (List.assoc n all_targets) ())
         names);

@@ -69,14 +69,7 @@ let config_label (factor, scheduler, physical) =
    worker domains: the shared IR artifacts are warmed once on the
    calling domain, each point runs the sched->hwgen tail in a task, and
    results are collected by index, so the point list (and the Pareto
-   marking over it) is identical to a sequential sweep.
-
-   Sequential sweeps evaluate the cycle factors largest-first: shrinking
-   the target period only adds chain breakers, i.e. only tightens the
-   difference system, which is exactly the monotone precondition under
-   which the session's persistent solver instances warm-start
-   (docs/SCHEDULING.md). Results are collected by original grid index, so
-   the returned point list is independent of the evaluation order. *)
+   marking over it) is identical to a sequential sweep. *)
 let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
     ~(measure : Flow.compiled -> float * float) (core : Scaiev.Datasheet.t)
     (tu : Coredsl.Tast.tunit) : point list =
@@ -143,41 +136,33 @@ let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
             dp_pareto = false;
           }
   in
-  let indexed = List.mapi (fun i config -> (i, config)) configs in
-  (* warm-friendly evaluation order: cycle factor descending (stable on
-     the rest of the grid) — each step only tightens the system *)
-  let by_warmth =
-    List.stable_sort
-      (fun (_, (fa, _, _)) (_, (fb, _, _)) -> compare (fb : float) fa)
-      indexed
+  let results =
+    if jobs <= 1 then List.map (fun config -> eval_point ?obs config) configs
+    else begin
+      (* warm the shared frontend/IR artifacts on this domain, then fan
+         the per-point sched->hwgen tails out over the worker pool *)
+      Flow.warm_ir ss.ss_flow tu;
+      Obs.span_opt obs "parallel_explore" @@ fun pobs ->
+      Obs.metric_int_opt pobs "par.workers" (max 1 (min jobs (List.length configs)));
+      Obs.metric_int_opt pobs "par.points" (List.length configs);
+      let task config () =
+        let tobs =
+          match pobs with
+          | None -> None
+          | Some _ -> Some (Obs.create ~name:("dse:" ^ config_label config) ())
+        in
+        let p = eval_point ?obs:tobs config in
+        Option.iter Obs.finish tobs;
+        (p, Option.map Obs.root tobs)
+      in
+      let results = Par.run ~jobs (List.map task configs) in
+      (match pobs with
+      | None -> ()
+      | Some p -> List.iter (fun (_, sp) -> Option.iter (Obs.attach p) sp) results);
+      List.map fst results
+    end
   in
-  let slots = Array.make (List.length configs) None in
-  (if jobs <= 1 then
-     List.iter (fun (i, config) -> slots.(i) <- eval_point ?obs config) by_warmth
-   else begin
-     (* warm the shared frontend/IR artifacts on this domain, then fan
-        the per-point sched->hwgen tails out over the worker pool *)
-     Flow.warm_ir ss.ss_flow tu;
-     Obs.span_opt obs "parallel_explore" @@ fun pobs ->
-     Obs.metric_int_opt pobs "par.workers" (max 1 (min jobs (List.length configs)));
-     Obs.metric_int_opt pobs "par.points" (List.length configs);
-     let task (i, config) () =
-       let tobs =
-         match pobs with
-         | None -> None
-         | Some _ -> Some (Obs.create ~name:("dse:" ^ config_label config) ())
-       in
-       let p = eval_point ?obs:tobs config in
-       Option.iter Obs.finish tobs;
-       ((i, p), Option.map Obs.root tobs)
-     in
-     let results = Par.run ~jobs (List.map task by_warmth) in
-     (match pobs with
-     | None -> ()
-     | Some p -> List.iter (fun (_, sp) -> Option.iter (Obs.attach p) sp) results);
-     List.iter (fun ((i, p), _) -> slots.(i) <- p) results
-   end);
-  let points = List.filter_map Fun.id (Array.to_list slots) in
+  let points = List.filter_map Fun.id results in
   (* deduplicate identical outcomes to keep the report readable *)
   let distinct =
     List.fold_left

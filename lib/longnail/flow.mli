@@ -148,13 +148,15 @@ val session_stats : session -> (string * Cache.Store.stats) list
     mutex-guarded. *)
 
 val session_solver_stats : session -> Lp.Instance.stats
-(** Aggregate warm-start counters over the session's persistent ILP
-    solver instances (one per functionality x core, created on first
-    schedule and kept across knob changes — see docs/SCHEDULING.md).
-    Feeds the [solver] section of [bench perf --json]. *)
+(** The session's scheduling counters: [is_resolves] counts ILP
+    schedules run and [is_bf_rounds] their Bellman-Ford sweeps; the
+    other fields read 0. This surface, and {!session_solver_count}, is
+    kept only for the benchmark (perfbench/layers.ml), which reads it
+    unchanged from when sessions pooled warm-start solver instances. *)
 
 val session_solver_count : session -> int
-(** Number of persistent solver instances the session currently holds. *)
+(** Always 0: sessions hold no solver instances. Kept for the benchmark,
+    like {!session_solver_stats}. *)
 
 (** {1 Compile requests}
 

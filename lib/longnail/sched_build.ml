@@ -97,22 +97,11 @@ let build (core : Scaiev.Datasheet.t) ?(delay_model = Delay_model.default) ?cycl
 (* schedule with the ILP (default) or ASAP scheduler *)
 type scheduler = Ilp | Asap
 
-(* [solver] is a persistent incremental instance from an earlier build of
-   the same graph (a DSE sweep re-scheduling under different knobs): when
-   it is structurally compatible the re-schedule warm-starts from the
-   previous grid point; otherwise — or for the ASAP scheduler — it is
-   ignored and the one-shot path runs as before. Both paths produce
-   identical schedules. *)
-let schedule ?(scheduler = Ilp) ?solver (bt : built) =
+(* [rounds] accumulates the Bellman-Ford sweeps of the ILP path. *)
+let schedule ?(scheduler = Ilp) ~rounds (bt : built) =
   match scheduler with
   | Ilp -> (
-      let outcome =
-        match solver with
-        | Some inc when Sched.Ilp_scheduler.Incremental.compatible inc bt.problem ->
-            Sched.Ilp_scheduler.Incremental.schedule inc bt.problem
-        | _ -> Sched.Ilp_scheduler.schedule bt.problem
-      in
-      match outcome with
+      match Sched.Ilp_scheduler.schedule_netflow ~rounds bt.problem with
       | Sched.Ilp_scheduler.Scheduled -> true
       | Sched.Ilp_scheduler.Infeasible -> false)
   | Asap -> (
@@ -121,39 +110,33 @@ let schedule ?(scheduler = Ilp) ?solver (bt : built) =
       | Sched.Asap_scheduler.Infeasible -> false)
 
 (* Explain an infeasible problem: compute each operation's ASAP lower
-   bound (longest dependence path, honoring [earliest] but ignoring
-   [latest]) and return the op whose lower bound overshoots its own
-   [latest] window the most, with (lower_bound, latest). The returned mir
-   op carries the CoreDSL span the violation originates from, so flow
+   bound (longest path over the C1/C5 edges, honoring [earliest] but
+   ignoring [latest]) and return the op whose lower bound overshoots its
+   own [latest] window the most, with (lower_bound, latest). The returned
+   mir op carries the CoreDSL span the violation originates from, so flow
    errors can cite the offending source line. *)
 let infeasible_culprit (bt : built) : (op * int * int) option =
   let p = bt.problem in
   let ops = p.Sched.Problem.operations in
   let n = Array.length ops in
-  let lb = Array.make n 0 in
-  Array.iteri (fun i (o : Sched.Problem.operation) -> lb.(i) <- o.lot.earliest) ops;
-  let preds = Array.make n [] in
-  let add_edge extra (d : Sched.Problem.dependence) =
-    let w = ops.(d.dep_src).lot.latency + extra in
-    preds.(d.dep_dst) <- (d.dep_src, w) :: preds.(d.dep_dst)
-  in
-  List.iter (add_edge 0) p.Sched.Problem.dependences;
-  List.iter (add_edge 1) (Sched.Problem.chain_breakers p);
-  List.iter
-    (fun j ->
-      List.iter (fun (i, w) -> if lb.(i) + w > lb.(j) then lb.(j) <- lb.(i) + w) preds.(j))
-    (Sched.Problem.topo_order p);
-  let best = ref None in
-  Array.iteri
-    (fun i (o : Sched.Problem.operation) ->
-      match o.lot.latest with
-      | Some l when lb.(i) > l -> (
-          match !best with
-          | Some (_, lb0, l0) when lb0 - l0 >= lb.(i) - l -> ()
-          | _ -> best := Some (bt.ops_by_index.(i), lb.(i), l))
-      | _ -> ())
-    ops;
-  !best
+  let lower = Array.map (fun (o : Sched.Problem.operation) -> o.lot.earliest) ops in
+  match
+    Lp.Netopt.asap ~n ~edges:(Sched.Ilp_scheduler.precedence_edges p) ~lower
+      ~upper:(Array.make n None) ()
+  with
+  | None -> None
+  | Some lb ->
+      let best = ref None in
+      Array.iteri
+        (fun i (o : Sched.Problem.operation) ->
+          match o.lot.latest with
+          | Some l when lb.(i) > l -> (
+              match !best with
+              | Some (_, lb0, l0) when lb0 - l0 >= lb.(i) - l -> ()
+              | _ -> best := Some (bt.ops_by_index.(i), lb.(i), l))
+          | _ -> ())
+        ops;
+      !best
 
 (* start time of a mir op after scheduling *)
 let start_time bt (op : op) =

@@ -29,15 +29,14 @@ val build :
   ?cycle_time:float -> Ir.Mir.graph -> built
 type scheduler = Ilp | Asap
 
-val schedule :
-  ?scheduler:scheduler -> ?solver:Sched.Ilp_scheduler.Incremental.t -> built -> bool
-(** Solve the problem in place. With [solver] (a persistent incremental
-    instance from an earlier build of the same graph) a structurally
-    compatible ILP re-schedule warm-starts from the previous solution;
-    otherwise the one-shot path runs. Both produce identical schedules. *)
+val schedule : ?scheduler:scheduler -> rounds:int ref -> built -> bool
+(** Solve the problem in place: {!Sched.Ilp_scheduler.schedule_netflow}
+    for [Ilp] (the default), {!Sched.Asap_scheduler.schedule} for
+    [Asap]. [rounds] accumulates the Bellman-Ford sweeps of the ILP
+    path; the ASAP path leaves it unchanged. *)
 
 (** For an infeasible problem: the operation whose ASAP lower bound
-    (longest dependence path, ignoring [latest] windows) most overshoots
+    (longest path over the C1/C5 edges, ignoring [latest] windows) most overshoots
     its own [latest] window, with that bound and the window. The mir op
     carries the originating CoreDSL span. *)
 val infeasible_culprit : built -> (Ir.Mir.op * int * int) option

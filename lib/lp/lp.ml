@@ -9,7 +9,6 @@
 
 module Rat = Rat
 module Simplex = Simplex
-module Difference = Difference
 module Netopt = Netopt
 
 type rel = Le | Ge | Eq
@@ -106,11 +105,8 @@ let to_text (p : problem) =
 
 (* Solve the LP relaxation of [p] with additional branching rows.
    Variables are shifted by their lower bounds so that the simplex sees
-   y = x - lo >= 0. With [basis] (the structural|slack basis of an
-   earlier relaxation of the same problem shape) the simplex takes its
-   warm dual-restart path; the returned {!Simplex.result} carries the
-   final basis for the next warm solve. *)
-let solve_relaxation ?stats ?budget ?basis (p : problem) ~extra_rows =
+   y = x - lo >= 0. *)
+let solve_relaxation (p : problem) ~extra_rows =
   let n = p.nvars in
   let lower = Array.of_list (List.rev p.lower) in
   let upper = Array.of_list (List.rev p.upper) in
@@ -143,46 +139,32 @@ let solve_relaxation ?stats ?budget ?basis (p : problem) ~extra_rows =
     @ List.map shift_row extra_rows
     @ !bound_rows
   in
-  let res = Simplex.solve_ext ?stats ?budget ?basis ~obj ~rows () in
-  ( (match res.Simplex.r_outcome with
-    | Simplex.Infeasible -> `Infeasible
-    | Simplex.Unbounded -> `Unbounded
-    | Simplex.Optimal (y, objval) ->
-        let x = Array.mapi (fun v yv -> Rat.add yv lower.(v)) y in
-        (* the shifted objective differs from the true one by sum c_v lo_v *)
-        let fix = ref objval in
-        List.iter (fun (c, v) -> fix := Rat.add !fix (Rat.mul c lower.(v))) p.objective;
-        `Optimal (x, !fix)),
-    res )
+  match Simplex.solve ~obj ~rows () with
+  | Simplex.Infeasible -> `Infeasible
+  | Simplex.Unbounded -> `Unbounded
+  | Simplex.Optimal (y, objval) ->
+      let x = Array.mapi (fun v yv -> Rat.add yv lower.(v)) y in
+      (* the shifted objective differs from the true one by sum c_v lo_v *)
+      let fix = ref objval in
+      List.iter (fun (c, v) -> fix := Rat.add !fix (Rat.mul c lower.(v))) p.objective;
+      `Optimal (x, !fix)
 
 exception Node_limit
 exception Unbounded_relaxation
 
-(* Branch & bound. [seed] is a known-feasible incumbent (value vector +
-   objective) that prunes from the first node — how a persistent instance
-   resumes from the previous grid point's solution. [root_basis] warm-starts
-   the root relaxation only (branching rows change the tableau shape of
-   child nodes). Returns the outcome, the root relaxation's final basis
-   (for the next warm solve) and whether the warm simplex path ran. *)
-let solve_bb ?(max_nodes = 50_000) ?stats ?budget ?root_basis ?seed ?nodes:nodes_acc
-    (p : problem) : outcome * int array option * bool =
+(* Branch & bound over the simplex relaxation. Past [max_nodes] nodes the
+   search stops and returns the best incumbent found so far. *)
+let max_nodes = 50_000
+
+let solve (p : problem) : outcome =
   let integer = Array.of_list (List.rev p.integer) in
-  let incumbent = ref seed in
+  let incumbent = ref None in
   let nodes = ref 0 in
-  let root_out = ref None and root_warm = ref false in
   let better obj = match !incumbent with None -> true | Some (_, o) -> Rat.lt obj o in
-  let rec branch ~root extra_rows =
+  let rec branch extra_rows =
     incr nodes;
     if !nodes > max_nodes then raise Node_limit;
-    let relax, sres =
-      solve_relaxation ?stats ?budget ?basis:(if root then root_basis else None) p
-        ~extra_rows
-    in
-    if root then begin
-      root_out := sres.Simplex.r_basis;
-      root_warm := sres.Simplex.r_warm
-    end;
-    match relax with
+    match solve_relaxation p ~extra_rows with
     | `Infeasible -> ()
     | `Unbounded ->
         (* with an incumbent this node can't prove unboundedness of the MILP;
@@ -210,404 +192,33 @@ let solve_bb ?(max_nodes = 50_000) ?stats ?budget ?root_basis ?seed ?nodes:nodes
             let ceil_row =
               { coeffs = [ (Rat.one, v) ]; rel = Ge; rhs = Rat.of_bn (Rat.ceil xv) }
             in
-            branch ~root:false (floor_row :: extra_rows);
-            branch ~root:false (ceil_row :: extra_rows)
+            branch (floor_row :: extra_rows);
+            branch (ceil_row :: extra_rows)
           end
         end
   in
-  let finish () = (match nodes_acc with Some r -> r := !r + !nodes | None -> ()) in
   let of_incumbent () =
     match !incumbent with
     | None -> `Infeasible
     | Some (x, obj) -> `Optimal { values = x; objective = obj }
   in
-  match branch ~root:true [] with
-  | () ->
-      finish ();
-      (of_incumbent (), !root_out, !root_warm)
-  | exception Unbounded_relaxation ->
-      finish ();
-      (`Unbounded, !root_out, !root_warm)
-  | exception Node_limit ->
-      finish ();
-      (of_incumbent (), !root_out, !root_warm)
-
-let solve ?max_nodes (p : problem) : outcome =
-  let outcome, _, _ = solve_bb ?max_nodes p in
-  outcome
+  match branch [] with
+  | () -> of_incumbent ()
+  | exception Unbounded_relaxation -> `Unbounded
+  | exception Node_limit -> of_incumbent ()
 
 let value_int sol v = Rat.to_int_exn sol.values.(v)
 
-(* ---- persistent solver instances --------------------------------------
-
-   [Instance.create] snapshots a problem's structure (variables,
-   constraint coefficient patterns, objective); [update_bounds] /
-   [update_rhs] then mutate only the numbers that scheduling knobs move,
-   and [resolve] re-solves with everything the previous resolve learned:
-
-   - the instance classifies the constraint structure once. Systems of
-     difference constraints (rows of the form x_j - x_i REL w, single
-     +-x_v REL b bounds, or constant rows) never touch the simplex:
-     with a nonnegative objective the Bellman-Ford least element is
-     optimal ([Difference]); with any negative (integer) costs the
-     lattice/min-cut solver takes over ([Netopt]). Integrality flags are
-     irrelevant on this path — difference systems are totally unimodular,
-     so the LP optimum is integral either way.
-   - fast-path resolves warm-start Bellman-Ford from the previous least
-     element whenever the system only tightened (every edge weight and
-     lower bound no smaller) — the relaxation then just repairs the few
-     entries the tightening moved, and provably converges to the exact
-     same least element a cold run computes.
-   - simplex resolves warm-start the root relaxation from the previous
-     optimal basis (dual-simplex repair, no Phase 1) and seed branch &
-     bound with the previous incumbent when it is still feasible.
-
-   Warm and cold resolves return identical objectives (and on the fast
-   path identical value vectors); the QCheck properties in test_lp pin
-   this down. *)
-
+(* Solver counters in the record shape perfbench/layers.ml reads, kept
+   only so the benchmark builds unchanged. Flow.session_solver_stats
+   fills [is_resolves] (ILP schedules run) and [is_bf_rounds]
+   (Bellman-Ford sweeps); the other fields read 0. *)
 module Instance = struct
-  type klass = Difference | Netflow | Milp
-
-  let klass_name = function
-    | Difference -> "difference"
-    | Netflow -> "netflow"
-    | Milp -> "milp"
-
-  (* Cumulative counters across every [resolve] of one instance. *)
   type stats = {
     is_resolves : int;
-    is_warm_hits : int;  (* resolves that reused previous solver state *)
-    is_warm_misses : int;  (* resolves that had to start cold *)
-    is_fastpath : int;  (* resolves served without touching the simplex *)
-    is_bf_rounds : int;  (* Bellman-Ford relaxation sweeps, fast path *)
-    is_bnb_nodes : int;  (* branch & bound nodes, simplex path *)
-    is_pivots : int;  (* simplex pivots, all phases *)
-    is_phase1_pivots : int;
-    is_dual_pivots : int;  (* warm-restart repair pivots *)
+    is_warm_hits : int;
+    is_bf_rounds : int;
+    is_pivots : int;
+    is_bnb_nodes : int;
   }
-
-  let zero_stats =
-    {
-      is_resolves = 0;
-      is_warm_hits = 0;
-      is_warm_misses = 0;
-      is_fastpath = 0;
-      is_bf_rounds = 0;
-      is_bnb_nodes = 0;
-      is_pivots = 0;
-      is_phase1_pivots = 0;
-      is_dual_pivots = 0;
-    }
-
-  let add_stats a b =
-    {
-      is_resolves = a.is_resolves + b.is_resolves;
-      is_warm_hits = a.is_warm_hits + b.is_warm_hits;
-      is_warm_misses = a.is_warm_misses + b.is_warm_misses;
-      is_fastpath = a.is_fastpath + b.is_fastpath;
-      is_bf_rounds = a.is_bf_rounds + b.is_bf_rounds;
-      is_bnb_nodes = a.is_bnb_nodes + b.is_bnb_nodes;
-      is_pivots = a.is_pivots + b.is_pivots;
-      is_phase1_pivots = a.is_phase1_pivots + b.is_phase1_pivots;
-      is_dual_pivots = a.is_dual_pivots + b.is_dual_pivots;
-    }
-
-  (* the net-coefficient shape of one constraint row *)
-  type row_shape =
-    | Pair of { pos : var; neg : var }  (* x_pos - x_neg REL rhs *)
-    | Single of { v : var; sign : int }  (* sign * x_v REL rhs *)
-    | Constant  (* 0 REL rhs *)
-    | General_row
-
-  type t = {
-    nvars : int;
-    names : string array;
-    integer : bool array;
-    objective : (Rat.t * var) list;
-    rows : constr array;  (* structure snapshot, declaration order *)
-    shapes : row_shape array;
-    klass : klass;
-    cost : Rat.t array;  (* net objective coefficient per variable *)
-    int_cost : int array option;  (* when every cost is integral *)
-    (* the mutable data: current rhs per row and current bounds *)
-    rhs : Rat.t array;
-    lower : Rat.t array;
-    upper : Rat.t option array;
-    (* warm state *)
-    mutable prev_fast : (int array * int array * int array) option;
-        (* fast path: (edge weights, effective lowers, least element) of
-           the previous resolve, for the monotone-tightening check *)
-    mutable prev_basis : int array option;  (* last optimal root LP basis *)
-    mutable prev_upper_shape : bool array;  (* upper Some/None pattern then *)
-    mutable prev_incumbent : (Rat.t array * Rat.t) option;
-    (* counters *)
-    mutable resolves : int;
-    mutable warm_hits : int;
-    mutable warm_misses : int;
-    mutable fastpath : int;
-    bf_rounds : int ref;
-    bnb_nodes : int ref;
-    simplex : Simplex.stats;
-  }
-
-  let shape_of nvars (c : constr) =
-    let net = Array.make nvars Rat.zero in
-    List.iter (fun (q, v) -> net.(v) <- Rat.add net.(v) q) c.coeffs;
-    let terms = ref [] in
-    for v = nvars - 1 downto 0 do
-      if not (Rat.is_zero net.(v)) then terms := (v, net.(v)) :: !terms
-    done;
-    let is_one q = Rat.equal q Rat.one and is_mone q = Rat.equal q Rat.minus_one in
-    match !terms with
-    | [] -> Constant
-    | [ (v, q) ] when is_one q -> Single { v; sign = 1 }
-    | [ (v, q) ] when is_mone q -> Single { v; sign = -1 }
-    | [ (v1, q1); (v2, q2) ] when is_one q1 && is_mone q2 -> Pair { pos = v1; neg = v2 }
-    | [ (v1, q1); (v2, q2) ] when is_mone q1 && is_one q2 -> Pair { pos = v2; neg = v1 }
-    | _ -> General_row
-
-  let create (p : problem) : t =
-    let nvars = p.nvars in
-    let rows = Array.of_list (List.rev p.constraints) in
-    let shapes = Array.map (shape_of nvars) rows in
-    let cost = Array.make nvars Rat.zero in
-    List.iter (fun (q, v) -> cost.(v) <- Rat.add cost.(v) q) p.objective;
-    let all_diff = Array.for_all (fun s -> s <> General_row) shapes in
-    let int_cost =
-      if Array.for_all Rat.is_integer cost then
-        Some (Array.map Rat.to_int_exn cost)
-      else None
-    in
-    let klass =
-      if not all_diff then Milp
-      else if Array.for_all (fun q -> Rat.sign q >= 0) cost then Difference
-      else if int_cost <> None then Netflow
-      else Milp
-    in
-    {
-      nvars;
-      names = Array.of_list (List.rev p.names);
-      integer = Array.of_list (List.rev p.integer);
-      objective = p.objective;
-      rows;
-      shapes;
-      klass;
-      cost;
-      int_cost;
-      rhs = Array.map (fun (c : constr) -> c.rhs) rows;
-      lower = Array.of_list (List.rev p.lower);
-      upper = Array.of_list (List.rev p.upper);
-      prev_fast = None;
-      prev_basis = None;
-      prev_upper_shape = [||];
-      prev_incumbent = None;
-      resolves = 0;
-      warm_hits = 0;
-      warm_misses = 0;
-      fastpath = 0;
-      bf_rounds = ref 0;
-      bnb_nodes = ref 0;
-      simplex = Simplex.stats ();
-    }
-
-  let classify t = t.klass
-  let nrows t = Array.length t.rows
-  let var_name t v = t.names.(v)
-
-  let update_rhs t row rhs =
-    if row < 0 || row >= Array.length t.rows then
-      invalid_arg (Printf.sprintf "Lp.Instance.update_rhs: row %d of %d" row (nrows t));
-    t.rhs.(row) <- rhs
-
-  let update_bounds t v ~lower ~upper =
-    if v < 0 || v >= t.nvars then
-      invalid_arg (Printf.sprintf "Lp.Instance.update_bounds: var %d of %d" v t.nvars);
-    t.lower.(v) <- lower;
-    t.upper.(v) <- upper
-
-  let stats t =
-    {
-      is_resolves = t.resolves;
-      is_warm_hits = t.warm_hits;
-      is_warm_misses = t.warm_misses;
-      is_fastpath = t.fastpath;
-      is_bf_rounds = !(t.bf_rounds);
-      is_bnb_nodes = !(t.bnb_nodes);
-      is_pivots = t.simplex.Simplex.pivots;
-      is_phase1_pivots = t.simplex.Simplex.phase1_pivots;
-      is_dual_pivots = t.simplex.Simplex.dual_pivots;
-    }
-
-  (* ---- the difference-system fast path ---- *)
-
-  (* All rhs / bound data integral? (the coefficients are structurally
-     +-1, so this is the only data condition the fast path needs) *)
-  let data_integral t =
-    Array.for_all Rat.is_integer t.rhs
-    && Array.for_all Rat.is_integer t.lower
-    && Array.for_all
-         (function None -> true | Some u -> Rat.is_integer u)
-         t.upper
-
-  (* Lower the current data onto a difference system: one edge per Ge/Le
-     pair row (two per Eq), bound rows folded into per-variable bounds,
-     constant rows checked directly. Edge order is structural, so the
-     weight vector is comparable across resolves. Returns [None] when a
-     constant row is violated (trivially infeasible). *)
-  let to_difference t =
-    let lo = Array.map Rat.to_int_exn t.lower in
-    let up = Array.map (Option.map Rat.to_int_exn) t.upper in
-    let edges = ref [] and weights = ref [] in
-    let trivially_infeasible = ref false in
-    let tighten_lower v b = if b > lo.(v) then lo.(v) <- b in
-    let tighten_upper v b =
-      up.(v) <- (match up.(v) with None -> Some b | Some u -> Some (min u b))
-    in
-    let add_edge ~src ~dst ~weight =
-      edges := { Difference.src; dst; weight } :: !edges;
-      weights := weight :: !weights
-    in
-    Array.iteri
-      (fun i shape ->
-        let rel = t.rows.(i).rel in
-        let b = Rat.to_int_exn t.rhs.(i) in
-        match shape with
-        | Pair { pos; neg } ->
-            (* x_pos - x_neg REL b *)
-            if rel = Ge || rel = Eq then add_edge ~src:neg ~dst:pos ~weight:b;
-            if rel = Le || rel = Eq then add_edge ~src:pos ~dst:neg ~weight:(-b)
-        | Single { v; sign = 1 } ->
-            if rel = Ge || rel = Eq then tighten_lower v b;
-            if rel = Le || rel = Eq then tighten_upper v b
-        | Single { v; sign = _ } ->
-            (* -x_v REL b  <=>  x_v inverted-REL -b *)
-            if rel = Ge || rel = Eq then tighten_upper v (-b);
-            if rel = Le || rel = Eq then tighten_lower v (-b)
-        | Constant ->
-            let sat =
-              match rel with Ge -> 0 >= b | Le -> 0 <= b | Eq -> 0 = b
-            in
-            if not sat then trivially_infeasible := true
-        | General_row -> assert false)
-      t.shapes;
-    if !trivially_infeasible then None
-    else Some (List.rev !edges, Array.of_list (List.rev !weights), lo, up)
-
-  (* monotone tightening vs. the previous fast resolve: every edge weight
-     and effective lower bound no smaller (uppers only gate feasibility,
-     they never move the least element, so they are free to change) *)
-  let tightened ~prev_w ~prev_lo ~w ~lo =
-    Array.length prev_w = Array.length w
-    && Array.for_all2 (fun old now -> now >= old) prev_w w
-    && Array.for_all2 (fun old now -> now >= old) prev_lo lo
-
-  let rat_objective t (sol : int array) =
-    let v = ref Rat.zero in
-    Array.iteri
-      (fun i q -> if not (Rat.is_zero q) then v := Rat.add !v (Rat.mul q (Rat.of_int sol.(i))))
-      t.cost;
-    !v
-
-  let optimal_of_ints t sol =
-    `Optimal { values = Array.map Rat.of_int sol; objective = rat_objective t sol }
-
-  let resolve_fast t ~netflow (edges, w, lo, up) : outcome =
-    let warm_init =
-      match t.prev_fast with
-      | Some (prev_w, prev_lo, prev_sol) when tightened ~prev_w ~prev_lo ~w ~lo ->
-          Some prev_sol
-      | _ -> None
-    in
-    if warm_init <> None then t.warm_hits <- t.warm_hits + 1
-    else t.warm_misses <- t.warm_misses + 1;
-    t.fastpath <- t.fastpath + 1;
-    let n = t.nvars in
-    let nedges =
-      List.map (fun (e : Difference.edge) -> { Netopt.e_src = e.src; e_dst = e.dst; e_w = e.weight }) edges
-    in
-    match
-      Netopt.asap ?init:warm_init ~rounds:t.bf_rounds ~n ~edges:nedges ~lower:lo ~upper:up ()
-    with
-    | None ->
-        t.prev_fast <- None;
-        `Infeasible
-    | Some least ->
-        t.prev_fast <- Some (w, lo, Array.copy least);
-        if not netflow then optimal_of_ints t least
-        else begin
-          (* negative costs: ascend from the least element (min-cut moves) *)
-          let cost = match t.int_cost with Some c -> c | None -> assert false in
-          match Netopt.ascend ~n ~edges:nedges ~upper:up ~cost least with
-          | sol -> optimal_of_ints t sol
-          | exception Netopt.Unbounded -> `Unbounded
-        end
-
-  (* ---- the simplex path ---- *)
-
-  let to_problem t : problem =
-    {
-      nvars = t.nvars;
-      names = List.rev (Array.to_list t.names);
-      lower = List.rev (Array.to_list t.lower);
-      upper = List.rev (Array.to_list t.upper);
-      integer = List.rev (Array.to_list t.integer);
-      constraints =
-        List.rev
-          (Array.to_list
-             (Array.mapi (fun i (c : constr) -> { c with rhs = t.rhs.(i) }) t.rows));
-      objective = t.objective;
-    }
-
-  (* is the previous incumbent still feasible under the current data? *)
-  let point_feasible t (x : Rat.t array) =
-    Array.length x = t.nvars
-    && Array.for_all2 (fun lo xv -> Rat.le lo xv) t.lower x
-    && Array.for_all2
-         (fun up xv -> match up with None -> true | Some u -> Rat.le xv u)
-         t.upper x
-    && Array.for_all2 (fun int xv -> (not int) || Rat.is_integer xv) t.integer x
-    && Array.for_all2
-         (fun (c : constr) rhs ->
-           let v = ref Rat.zero in
-           List.iter (fun (q, var) -> v := Rat.add !v (Rat.mul q x.(var))) c.coeffs;
-           match c.rel with Le -> Rat.le !v rhs | Ge -> Rat.le rhs !v | Eq -> Rat.equal !v rhs)
-         t.rows t.rhs
-
-  let upper_shape t = Array.map Option.is_some t.upper
-
-  let resolve_milp ?max_nodes t : outcome =
-    let shape = upper_shape t in
-    let root_basis =
-      match t.prev_basis with Some b when t.prev_upper_shape = shape -> Some b | None | Some _ -> None
-    in
-    let seed =
-      match t.prev_incumbent with
-      | Some (x, obj) when point_feasible t x -> Some (x, obj)
-      | _ -> None
-    in
-    let outcome, basis, warm =
-      solve_bb ?max_nodes ~stats:t.simplex ?root_basis ?seed ~nodes:t.bnb_nodes
-        (to_problem t)
-    in
-    if warm then t.warm_hits <- t.warm_hits + 1 else t.warm_misses <- t.warm_misses + 1;
-    t.prev_basis <- basis;
-    t.prev_upper_shape <- shape;
-    (match outcome with
-    | `Optimal { values; objective } -> t.prev_incumbent <- Some (Array.copy values, objective)
-    | `Infeasible | `Unbounded -> t.prev_incumbent <- None);
-    outcome
-
-  let resolve ?max_nodes t : outcome =
-    t.resolves <- t.resolves + 1;
-    match t.klass with
-    | (Difference | Netflow) when data_integral t -> (
-        match to_difference t with
-        | None ->
-            (* a violated constant row: trivially infeasible *)
-            t.warm_misses <- t.warm_misses + 1;
-            t.prev_fast <- None;
-            `Infeasible
-        | Some lowered -> resolve_fast t ~netflow:(t.klass = Netflow) lowered)
-    | _ -> resolve_milp ?max_nodes t
 end

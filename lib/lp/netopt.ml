@@ -107,18 +107,11 @@ end
 
 (* ---- ASAP via Bellman-Ford longest paths ----
 
-   With [init] the relaxation warm-starts from [max init lower]: as long
-   as that point is componentwise below the minimal solution (true when
-   [init] is the ASAP result of a system this one only tightens), the
-   result is exactly the same minimal element a cold run computes, in
-   fewer sweeps. [rounds] accumulates the sweep count. *)
+   Longest-path relaxation from [lower]: the least point above [lower]
+   satisfying every edge. [rounds] accumulates the sweep count. *)
 
-let asap ?init ?rounds ~n ~(edges : edge list) ~lower ~upper () =
-  let t =
-    match init with
-    | None -> Array.copy lower
-    | Some s -> Array.mapi (fun i lo -> max lo s.(i)) lower
-  in
+let asap ?rounds ~n ~(edges : edge list) ~lower ~upper () =
+  let t = Array.copy lower in
   let changed = ref true and sweeps = ref 0 and ok = ref true in
   while !changed && !ok do
     changed := false;
@@ -146,9 +139,7 @@ let asap ?init ?rounds ~n ~(edges : edge list) ~lower ~upper () =
 (* ---- steepest-ascent phase ----
 
    Shift-by-closed-set ascent from the minimal element [t] (mutated in
-   place). Split out of [solve] so a warm caller can feed a warm-started
-   ASAP result through the identical ascent — making warm and cold solves
-   not just equal-objective but equal-valued. *)
+   place). *)
 
 let ascend ~n ~(edges : edge list) ~(upper : int option array) ~(cost : int array) t =
       let iterations = ref 0 in
@@ -207,9 +198,9 @@ let ascend ~n ~(edges : edge list) ~(upper : int option array) ~(cost : int arra
 
 (* ---- main solver ---- *)
 
-let solve ?init ?rounds ~n ~(edges : edge list) ~(lower : int array)
+let solve ?rounds ~n ~(edges : edge list) ~(lower : int array)
     ~(upper : int option array) ~(cost : int array) () : int array option =
-  match asap ?init ?rounds ~n ~edges ~lower ~upper () with
+  match asap ?rounds ~n ~edges ~lower ~upper () with
   | None -> None
   | Some t -> Some (ascend ~n ~edges ~upper ~cost t)
 

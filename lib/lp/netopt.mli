@@ -45,34 +45,24 @@ module Maxflow :
     val max_flow : t -> int -> int -> int * int array
   end
 val asap :
-  ?init:int array ->
   ?rounds:int ref ->
   n:int ->
   edges:edge list ->
   lower:int array -> upper:int option array -> unit -> int array option
 (** The componentwise-minimal feasible point (Bellman-Ford longest
-    paths). With [init] the relaxation warm-starts from [max init lower];
-    the result is identical to a cold run whenever that start is below
-    the minimal solution — in particular when [init] is the ASAP result
-    of a system this one only tightens. [rounds] accumulates relaxation
+    paths from [lower]), or [None] when the system is infeasible: a
+    positive cycle, or the minimal point violates an upper bound (in
+    which case every point does). [rounds] accumulates relaxation
     sweeps. *)
 
-val ascend :
-  n:int ->
-  edges:edge list ->
-  upper:int option array -> cost:int array -> int array -> int array
-(** The steepest-ascent phase, from a minimal element produced by
-    {!asap} (mutated in place and returned). Deterministic: equal inputs
-    give equal outputs, so a warm-started {!asap} feeding this yields
-    byte-identical schedules to a cold solve. Raises {!Unbounded}. *)
-
 val solve :
-  ?init:int array ->
   ?rounds:int ref ->
   n:int ->
   edges:edge list ->
   lower:int array ->
   upper:int option array -> cost:int array -> unit -> int array option
-(** [asap] composed with [ascend]. *)
+(** An optimal point: {!asap}, then the steepest-ascent phase.
+    Deterministic: equal inputs give equal outputs. [None] when infeasible; raises {!Unbounded} when the
+    objective has no lower bound. *)
 
 val objective : cost:int array -> int array -> int

@@ -1,4 +1,4 @@
-(* Exact two-phase primal simplex over rationals, with warm restarts.
+(* Exact two-phase primal simplex over rationals.
 
    Dense tableau implementation with Bland's anti-cycling rule, which
    together with exact {!Rat} arithmetic guarantees termination. Problems
@@ -7,14 +7,7 @@
 
    The solver works on the standard form: minimize c.x subject to the given
    rows, with all structural variables constrained to x >= 0. General bounds
-   and integrality live one layer up, in {!Lp}.
-
-   Besides the one-shot [solve], the module exposes [solve_ext], which
-   returns the final optimal basis and can warm-start from a basis produced
-   by an earlier solve over the same coefficient matrix and objective:
-   because only the right-hand sides change between such solves, the old
-   basis stays dual feasible, so re-pivoting onto it and running the dual
-   simplex repairs primal feasibility directly — no Phase-1 artificials. *)
+   and integrality live one layer up, in {!Lp}. *)
 
 type rel = Le | Ge | Eq
 
@@ -22,16 +15,6 @@ type outcome =
   | Optimal of Rat.t array * Rat.t  (* values of structural variables, objective *)
   | Infeasible
   | Unbounded
-
-(* Cumulative pivot counters; one record can span many solves (an
-   {!Lp.Instance} threads the same counters through every resolve). *)
-type stats = {
-  mutable pivots : int;  (* total pivots, all phases *)
-  mutable phase1_pivots : int;  (* cold-start Phase-1 pivots *)
-  mutable dual_pivots : int;  (* warm-restart feasibility-repair pivots *)
-}
-
-let stats () = { pivots = 0; phase1_pivots = 0; dual_pivots = 0 }
 
 exception Iteration_limit of int
 
@@ -45,8 +28,6 @@ type tableau = {
   rhs : Rat.t array;  (* m *)
   basis : int array;  (* m, column basic in each row *)
   ncols : int;
-  nstruct : int;  (* structural variables are columns 0..nstruct-1 *)
-  art_start : int;  (* columns >= art_start are artificial *)
 }
 
 (* Reduced costs r_j = c_j - sum_i c_B(i) * T(i,j) for all columns. *)
@@ -121,15 +102,14 @@ let ratio_test t ~col =
   done;
   !best_row
 
-let spend (stats : stats) ~budget ~left =
-  stats.pivots <- stats.pivots + 1;
+let spend ~budget ~left =
   decr left;
   if !left < 0 then raise (Iteration_limit budget)
 
 (* Run primal simplex iterations on [t] minimizing cost vector [c].
    [banned j] marks columns that may not enter the basis (used to keep
    artificials out in phase 2). Returns [false] on unboundedness. *)
-let iterate t (c : Rat.t array) ~banned ~stats ~budget ~left ~phase1 =
+let iterate t (c : Rat.t array) ~banned ~budget ~left =
   let running = ref true and bounded = ref true in
   while !running do
     let r = reduced_costs t c in
@@ -152,8 +132,7 @@ let iterate t (c : Rat.t array) ~banned ~stats ~budget ~left ~phase1 =
         running := false
       end
       else begin
-        spend stats ~budget ~left;
-        if phase1 then stats.phase1_pivots <- stats.phase1_pivots + 1;
+        spend ~budget ~left;
         pivot t ~row ~col;
         t.basis.(row) <- col
       end
@@ -161,82 +140,15 @@ let iterate t (c : Rat.t array) ~banned ~stats ~budget ~left ~phase1 =
   done;
   !bounded
 
-(* Dual simplex on a dual-feasible tableau (reduced costs >= 0): pick the
-   most Bland-ish leaving row (smallest basic index among negative-rhs
-   rows), then the entering column by the dual ratio test. Restores the
-   primal invariant rhs >= 0, or proves infeasibility. *)
-let dual_iterate t (c : Rat.t array) ~stats ~budget ~left =
-  let m = Array.length t.rows in
-  let feasible = ref true and running = ref true in
-  while !running do
-    let leave = ref (-1) in
-    for i = m - 1 downto 0 do
-      if Rat.sign t.rhs.(i) < 0 && (!leave < 0 || t.basis.(i) < t.basis.(!leave)) then
-        leave := i
-    done;
-    if !leave < 0 then running := false
-    else begin
-      let row = !leave in
-      let r = reduced_costs t c in
-      (* entering column: minimize r_j / -a_rj over a_rj < 0, tie-break on
-         the smallest column index (the dual Bland rule) *)
-      let enter = ref (-1) and best = ref Rat.zero in
-      for j = 0 to t.ncols - 1 do
-        if Rat.sign t.rows.(row).(j) < 0 then begin
-          let ratio = Rat.div r.(j) (Rat.neg t.rows.(row).(j)) in
-          if !enter < 0 || Rat.lt ratio !best then begin
-            enter := j;
-            best := ratio
-          end
-        end
-      done;
-      if !enter < 0 then begin
-        (* the row reads "nonnegative combination = negative": infeasible *)
-        feasible := false;
-        running := false
-      end
-      else begin
-        spend stats ~budget ~left;
-        stats.dual_pivots <- stats.dual_pivots + 1;
-        pivot t ~row ~col:!enter;
-        t.basis.(row) <- !enter
-      end
-    end
-  done;
-  !feasible
+(* ---- the solver ------------------------------------------------------
 
-(* ---- shared layout ----------------------------------------------------
+   Column layout: structural | slack/surplus (one per Le/Ge row) |
+   artificial (one per Ge/Eq row after rhs normalization). *)
 
-   Column layout: structural | slack/surplus (one per Le/Ge row, in row
-   order) | artificial (cold solves only). The slack allocation ignores
-   the rhs-sign normalization the cold path applies, so basis indices
-   below [art_start] mean the same thing across solves whose rhs (and
-   nothing else) changed — which is what makes them reusable. *)
-
-let layout_counts rows =
-  let n_slack =
-    Array.fold_left (fun n (_, rel, _) -> match rel with Eq -> n | Le | Ge -> n + 1) 0 rows
-  in
-  let n_art =
-    Array.fold_left (fun n (_, rel, _) -> match rel with Le -> n | Ge | Eq -> n + 1) 0 rows
-  in
-  (n_slack, n_art)
-
-let extract t (obj : Rat.t array) c2 =
-  let x = Array.make t.nstruct Rat.zero in
-  Array.iteri (fun i b -> if b >= 0 && b < t.nstruct then x.(b) <- t.rhs.(i)) t.basis;
-  ignore obj;
-  Optimal (x, objective_value t c2)
-
-(* The optimal basis, for reuse by a later warm solve — only meaningful
-   when it is free of artificial columns. *)
-let basis_of t =
-  if Array.exists (fun b -> b < 0 || b >= t.art_start) t.basis then None
-  else Some (Array.copy t.basis)
-
-(* ---- cold solve ------------------------------------------------------- *)
-
-let cold_solve ~stats ~budget ~left ~(obj : Rat.t array) rows =
+let solve ?(budget = default_budget) ~(obj : Rat.t array)
+    ~(rows : (Rat.t array * rel * Rat.t) list) () : outcome =
+  let rows = Array.of_list rows in
+  let left = ref budget in
   let nstruct = Array.length obj in
   let m = Array.length rows in
   (* normalize rhs >= 0 so the artificial basis is feasible *)
@@ -248,9 +160,9 @@ let cold_solve ~stats ~budget ~left ~(obj : Rat.t array) rows =
         else (a, rel, b))
       rows
   in
-  (* artificials are needed for normalized Ge/Eq rows; slack columns keep
-     the un-normalized row-order layout (see above) *)
-  let n_slack, _ = layout_counts rows in
+  let n_slack =
+    Array.fold_left (fun n (_, rel, _) -> match rel with Eq -> n | Le | Ge -> n + 1) 0 rows
+  in
   let n_art =
     Array.fold_left (fun n (_, rel, _) -> match rel with Le -> n | Ge | Eq -> n + 1) 0 rows
   in
@@ -262,8 +174,6 @@ let cold_solve ~stats ~budget ~left ~(obj : Rat.t array) rows =
       rhs = Array.make m Rat.zero;
       basis = Array.make m (-1);
       ncols;
-      nstruct;
-      art_start;
     }
   in
   let slack = ref nstruct and art = ref art_start in
@@ -294,7 +204,7 @@ let cold_solve ~stats ~budget ~left ~(obj : Rat.t array) rows =
     for j = art_start to ncols - 1 do
       c1.(j) <- Rat.one
     done;
-    ignore (iterate t c1 ~banned:(fun _ -> false) ~stats ~budget ~left ~phase1:true);
+    ignore (iterate t c1 ~banned:(fun _ -> false) ~budget ~left);
     if Rat.sign (objective_value t c1) > 0 then infeasible := true
     else
       (* drive remaining artificials out of the basis where possible *)
@@ -317,133 +227,17 @@ let cold_solve ~stats ~budget ~left ~(obj : Rat.t array) rows =
         end
       done
   end;
-  if !infeasible then (Infeasible, None)
+  if !infeasible then Infeasible
   else begin
     (* Phase 2 *)
     let c2 = Array.make ncols Rat.zero in
     Array.blit obj 0 c2 0 nstruct;
     let banned j = j >= art_start in
-    if not (iterate t c2 ~banned ~stats ~budget ~left ~phase1:false) then (Unbounded, None)
-    else (extract t obj c2, basis_of t)
-  end
-
-(* ---- warm solve -------------------------------------------------------
-
-   Re-pivot a fresh (artificial-free) tableau onto [basis] and repair
-   primal feasibility with the dual simplex. Sound whenever the basis came
-   from an optimal solve over the same coefficient matrix and objective:
-   such a basis is nonsingular regardless of the rhs, and its reduced
-   costs stay >= 0, i.e. it stays dual feasible. Returns [None] when the
-   basis does not fit this problem (shape mismatch, singular after row
-   degeneracy, or dual infeasible because the objective changed) — the
-   caller then falls back to a cold solve. *)
-
-let warm_solve ~stats ~budget ~left ~(obj : Rat.t array) rows ~(basis : int array) =
-  let nstruct = Array.length obj in
-  let m = Array.length rows in
-  let n_slack, _ = layout_counts rows in
-  let art_start = nstruct + n_slack in
-  let ncols = art_start in
-  if Array.length basis <> m || Array.exists (fun b -> b < 0 || b >= art_start) basis then
-    None
-  else begin
-    let t =
-      {
-        rows = Array.init m (fun _ -> Array.make ncols Rat.zero);
-        rhs = Array.make m Rat.zero;
-        basis = Array.make m (-1);
-        ncols;
-        nstruct;
-        art_start;
-      }
-    in
-    let slack = ref nstruct in
-    Array.iteri
-      (fun i (a, rel, b) ->
-        Array.iteri (fun j v -> if j < nstruct then t.rows.(i).(j) <- v) a;
-        t.rhs.(i) <- b;
-        match rel with
-        | Le ->
-            t.rows.(i).(!slack) <- Rat.one;
-            incr slack
-        | Ge ->
-            t.rows.(i).(!slack) <- Rat.minus_one;
-            incr slack
-        | Eq -> ())
-      rows;
-    (* Gaussian re-pivot onto the basis columns. The stored row pairing is
-       tried first; any nonsingular basis set succeeds with some pairing. *)
-    let assigned = Array.make m false in
-    let ok = ref true in
-    (try
-       Array.iter
-         (fun col ->
-           let row =
-             (* prefer the stored row for this column *)
-             let stored = ref (-1) in
-             Array.iteri (fun i b -> if b = col then stored := i) basis;
-             if
-               !stored >= 0
-               && (not assigned.(!stored))
-               && not (Rat.is_zero t.rows.(!stored).(col))
-             then !stored
-             else begin
-               let r = ref (-1) in
-               (try
-                  for i = 0 to m - 1 do
-                    if (not assigned.(i)) && not (Rat.is_zero t.rows.(i).(col)) then begin
-                      r := i;
-                      raise Exit
-                    end
-                  done
-                with Exit -> ());
-               !r
-             end
-           in
-           if row < 0 then begin
-             ok := false;
-             raise Exit
-           end;
-           pivot t ~row ~col;
-           t.basis.(row) <- col;
-           assigned.(row) <- true)
-         basis
-     with Exit -> ());
-    if (not !ok) || Array.exists (fun b -> b < 0) t.basis then None
+    if not (iterate t c2 ~banned ~budget ~left) then Unbounded
     else begin
-      let c2 = Array.make ncols Rat.zero in
-      Array.blit obj 0 c2 0 nstruct;
-      (* the warm premise: the old basis must still be dual feasible *)
-      if Array.exists (fun r -> Rat.sign r < 0) (reduced_costs t c2) then None
-      else if not (dual_iterate t c2 ~stats ~budget ~left) then Some (Infeasible, None)
-      else if not (iterate t c2 ~banned:(fun _ -> false) ~stats ~budget ~left ~phase1:false)
-      then Some (Unbounded, None)
-      else Some (extract t obj c2, basis_of t)
+      let x = Array.make nstruct Rat.zero in
+      Array.iteri (fun i b -> if b >= 0 && b < nstruct then x.(b) <- t.rhs.(i)) t.basis;
+      Optimal (x, objective_value t c2)
     end
   end
 
-(* ---- public entry points ---------------------------------------------- *)
-
-type result = {
-  r_outcome : outcome;
-  r_basis : int array option;  (* for warm restarts; [None] unless Optimal *)
-  r_warm : bool;  (* the warm path was actually taken *)
-}
-
-let solve_ext ?stats:(st = stats ()) ?(budget = default_budget) ?basis ~(obj : Rat.t array)
-    ~(rows : (Rat.t array * rel * Rat.t) list) () : result =
-  let rows = Array.of_list rows in
-  let left = ref budget in
-  match basis with
-  | Some b -> (
-      match warm_solve ~stats:st ~budget ~left ~obj rows ~basis:b with
-      | Some (outcome, basis) -> { r_outcome = outcome; r_basis = basis; r_warm = true }
-      | None ->
-          let outcome, basis = cold_solve ~stats:st ~budget ~left ~obj rows in
-          { r_outcome = outcome; r_basis = basis; r_warm = false })
-  | None ->
-      let outcome, basis = cold_solve ~stats:st ~budget ~left ~obj rows in
-      { r_outcome = outcome; r_basis = basis; r_warm = false }
-
-let solve ~(obj : Rat.t array) ~(rows : (Rat.t array * rel * Rat.t) list) : outcome =
-  (solve_ext ~obj ~rows ()).r_outcome

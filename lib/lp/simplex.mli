@@ -1,4 +1,4 @@
-(** Exact two-phase primal simplex over rationals, with warm restarts.
+(** Exact two-phase primal simplex over rationals.
 
    Dense tableau implementation with Bland's anti-cycling rule, which
    together with exact {!Rat} arithmetic guarantees termination. Problems
@@ -7,13 +7,7 @@
 
    The solver works on the standard form: minimize c.x subject to the given
    rows, with all structural variables constrained to x >= 0. General bounds
-   and integrality live one layer up, in {!Lp}.
-
-   {!solve_ext} additionally returns the final optimal basis and accepts a
-   basis from an earlier solve over the {e same coefficient matrix and
-   objective} (only right-hand sides changed). Such a basis stays dual
-   feasible, so the warm path re-pivots onto it and repairs primal
-   feasibility with the dual simplex — no Phase-1 artificials. *)
+   and integrality live one layer up, in {!Lp}. *)
 
 type rel = Le | Ge | Eq
 
@@ -21,17 +15,6 @@ type outcome =
   | Optimal of Rat.t array * Rat.t  (** structural variable values, objective *)
   | Infeasible
   | Unbounded
-
-(** Cumulative pivot counters; one record can be threaded through many
-    solves (an {!Lp.Instance} does exactly that across resolves). *)
-type stats = {
-  mutable pivots : int;  (** total pivots, all phases *)
-  mutable phase1_pivots : int;  (** cold-start Phase-1 pivots *)
-  mutable dual_pivots : int;  (** warm-restart feasibility-repair pivots *)
-}
-
-val stats : unit -> stats
-(** Fresh all-zero counters. *)
 
 exception Iteration_limit of int
 (** Raised (carrying the budget) when a single solve exceeds its pivot
@@ -41,50 +24,7 @@ exception Iteration_limit of int
 
 val default_budget : int
 
-type tableau = {
-  rows : Rat.t array array;
-  rhs : Rat.t array;
-  basis : int array;
-  ncols : int;
-  nstruct : int;
-  art_start : int;
-}
-
-val reduced_costs : tableau -> Rat.t array -> Rat.t array
-val objective_value : tableau -> Rat.t array -> Rat.t
-val pivot : tableau -> row:int -> col:int -> unit
-
-val ratio_test : tableau -> col:int -> int
-(** Bland ratio test with the degenerate-ratio early exit: the tableau
-    invariant rhs >= 0 makes a zero ratio synonymous with a zero rhs, so
-    an exact zero-ratio match short-circuits all remaining divisions and
-    only tie-breaks further zero-rhs rows on the basic index. Returns the
-    leaving row, or [-1] when the column is unbounded. *)
-
-type result = {
-  r_outcome : outcome;
-  r_basis : int array option;
-      (** the optimal basis over the structural|slack column layout, for
-          reuse by a later warm solve; [None] unless the outcome is
-          [Optimal] with an artificial-free basis *)
-  r_warm : bool;  (** the warm path was actually taken *)
-}
-
-val solve_ext :
-  ?stats:stats ->
-  ?budget:int ->
-  ?basis:int array ->
-  obj:Rat.t array ->
-  rows:(Rat.t array * rel * Rat.t) list ->
-  unit ->
-  result
-(** One simplex solve. With [basis] (from a previous [r_basis] over the
-    same rows-and-objective structure), tries the warm dual-simplex path
-    first and falls back to a cold two-phase solve if the basis no longer
-    fits (shape mismatch, singular, or dual infeasible). [budget] bounds
-    the pivots of this solve (default {!default_budget}); exceeding it
-    raises {!Iteration_limit}. *)
-
 val solve :
-  obj:Rat.t array -> rows:(Rat.t array * rel * Rat.t) list -> outcome
-(** [solve_ext] with defaults, returning only the outcome. *)
+  ?budget:int -> obj:Rat.t array -> rows:(Rat.t array * rel * Rat.t) list -> unit -> outcome
+(** One simplex solve. [budget] bounds its pivots (default
+    {!default_budget}); exceeding it raises {!Iteration_limit}. *)

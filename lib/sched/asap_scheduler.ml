@@ -9,27 +9,11 @@ type outcome = Scheduled | Infeasible
 let schedule (p : Problem.t) : outcome =
   Problem.check_input p;
   let n = Array.length p.Problem.operations in
-  let d = Lp.Difference.create n in
-  List.iter
-    (fun (dep : Problem.dependence) ->
-      let lat = p.Problem.operations.(dep.dep_src).lot.latency in
-      Lp.Difference.add_ge d ~src:dep.dep_src ~dst:dep.dep_dst ~weight:lat)
-    p.Problem.dependences;
-  List.iter
-    (fun (dep : Problem.dependence) ->
-      let lat = p.Problem.operations.(dep.dep_src).lot.latency in
-      Lp.Difference.add_ge d ~src:dep.dep_src ~dst:dep.dep_dst ~weight:(lat + 1))
-    (Problem.chain_breakers p);
-  Array.iteri
-    (fun i (op : Problem.operation) ->
-      Lp.Difference.set_lower d i op.lot.earliest;
-      match op.lot.latest with
-      | Some l -> Lp.Difference.set_upper d i l
-      | None -> ())
-    p.Problem.operations;
-  match Lp.Difference.solve d with
+  let lower = Array.map (fun (op : Problem.operation) -> op.lot.earliest) p.Problem.operations in
+  let upper = Array.map (fun (op : Problem.operation) -> op.lot.latest) p.Problem.operations in
+  match Lp.Netopt.asap ~n ~edges:(Ilp_scheduler.precedence_edges p) ~lower ~upper () with
   | None -> Infeasible
   | Some sol ->
-      Array.iteri (fun i t -> p.Problem.start_time.(i) <- t) (Array.of_list (Array.to_list sol));
+      Array.blit sol 0 p.Problem.start_time 0 n;
       Problem.compute_start_time_in_cycle p;
       Scheduled

@@ -10,8 +10,10 @@
    (C4) integrality / non-negativity
    (C5) t_i + latency_i + 1 <= t_j        for every chain-breaking edge
 
-   The paper solves this with Cbc via OR-Tools; we use the exact
-   branch-and-bound solver from lib/lp. *)
+   The paper solves this with Cbc via OR-Tools. Here [schedule_netflow]
+   solves it exactly on the network structure of the problem; the
+   generic branch-and-bound solver from lib/lp ([schedule_exact]) is kept
+   as the reference oracle for it. *)
 
 type outcome = Scheduled | Infeasible
 
@@ -75,8 +77,8 @@ let build_ilp p =
   (lp, t)
 
 (* Solve the Figure 7 ILP via the generic branch-and-bound MILP solver.
-   Exact but slow on large graphs; used for small instances and as the
-   cross-check oracle for the network backend. *)
+   Exact but slow on large graphs; the cross-check oracle for
+   [schedule_netflow]. *)
 let schedule_exact (p : Problem.t) : outcome =
   Problem.check_input p;
   let lp, t = build_ilp p in
@@ -87,12 +89,36 @@ let schedule_exact (p : Problem.t) : outcome =
       Problem.compute_start_time_in_cycle p;
       Scheduled
 
-(* Default backend: eliminate the lifetime variables analytically
+(* The difference edges of constraints C1 and C5, one per dependence:
+   t_dst - t_src >= latency_src, plus one where the dependence breaks a
+   combinational chain. A C5 row dominates the C1 row of its dependence,
+   so the merged edge has the same feasible set, least element and tight
+   edges as the pair. Every Bellman-Ford pass over the scheduling problem
+   runs on these edges. *)
+let precedence_edges (p : Problem.t) : Lp.Netopt.edge list =
+  (* chain breaking depends only on the endpoints, so duplicate
+     dependences agree and (src, dst) identifies a breaker *)
+  let breakers = Hashtbl.create 16 in
+  List.iter
+    (fun (d : Problem.dependence) -> Hashtbl.replace breakers (d.dep_src, d.dep_dst) ())
+    (Problem.chain_breakers p);
+  List.map
+    (fun (d : Problem.dependence) ->
+      {
+        Lp.Netopt.e_src = d.dep_src;
+        e_dst = d.dep_dst;
+        e_w =
+          (p.Problem.operations.(d.dep_src).lot.latency
+          + if Hashtbl.mem breakers (d.dep_src, d.dep_dst) then 1 else 0);
+      })
+    p.Problem.dependences
+
+(* The production path: eliminate the lifetime variables analytically
    (l_ij = t_j - t_i at any optimum), turning the Figure 7 ILP into
    "minimize sum c_i t_i over difference constraints" with node costs
    c_i = 1 + indegree - outdegree, and solve that exactly with the
    lattice/min-cut solver in {!Lp.Netopt}. *)
-let schedule_netflow (p : Problem.t) : outcome =
+let schedule_netflow ~rounds (p : Problem.t) : outcome =
   Problem.check_input p;
   let n = Array.length p.Problem.operations in
   let cost = Array.make n 1 in
@@ -101,133 +127,16 @@ let schedule_netflow (p : Problem.t) : outcome =
       cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
       cost.(d.dep_src) <- cost.(d.dep_src) - 1)
     p.Problem.dependences;
-  let edges =
-    List.map
-      (fun (d : Problem.dependence) ->
-        {
-          Lp.Netopt.e_src = d.dep_src;
-          e_dst = d.dep_dst;
-          e_w = p.Problem.operations.(d.dep_src).lot.latency;
-        })
-      p.Problem.dependences
-    @ List.map
-        (fun (d : Problem.dependence) ->
-          {
-            Lp.Netopt.e_src = d.dep_src;
-            e_dst = d.dep_dst;
-            e_w = p.Problem.operations.(d.dep_src).lot.latency + 1;
-          })
-        (Problem.chain_breakers p)
-  in
   let lower = Array.map (fun (op : Problem.operation) -> op.lot.earliest) p.Problem.operations in
   let upper = Array.map (fun (op : Problem.operation) -> op.lot.latest) p.Problem.operations in
-  match Lp.Netopt.solve ~n ~edges ~lower ~upper ~cost () with
+  match Lp.Netopt.solve ~rounds ~n ~edges:(precedence_edges p) ~lower ~upper ~cost () with
   | None -> Infeasible
   | Some t ->
       Array.iteri (fun i ti -> p.Problem.start_time.(i) <- ti) t;
       Problem.compute_start_time_in_cycle p;
       Scheduled
 
-type backend = Exact | Netflow
-
-let schedule ?(backend = Netflow) (p : Problem.t) : outcome =
-  match backend with Exact -> schedule_exact p | Netflow -> schedule_netflow p
-
-(* ---- persistent incremental scheduler ----------------------------------
-
-   One {!Lp.Instance} per dependence-graph structure, kept alive across the
-   re-schedules of a DSE sweep. The Figure 7 ILP is lowered with the
-   lifetime variables eliminated (node costs 1 + indegree - outdegree, as
-   in [schedule_netflow]) and constraints C1/C5 merged into a single row
-   per dependence whose right-hand side is [latency] — or [latency + 1]
-   when the edge currently breaks a combinational chain. Between grid
-   points only the numbers move:
-
-   - a chain-breaker set change is an [update_rhs] per flipped edge;
-   - a window change is an [update_bounds] per operation.
-
-   [resolve] then warm-starts from the previous grid point. The merged
-   rows describe exactly the same feasible set as the duplicated C1+C5
-   edges of the one-shot backends (the breaker row dominates its plain
-   copy), and the tight-edge closure used by the min-cut ascent is also
-   unchanged (a dominated edge is never tight and never crosses an
-   improving cut), so this path is schedule-for-schedule identical to
-   [schedule_netflow] — warm or cold. *)
-
-module Incremental = struct
-  type t = {
-    n : int;
-    deps : (int * int) list;  (* (src, dst) per dependence, in order *)
-    inst : Lp.Instance.t;
-    lock : Mutex.t;
-  }
-
-  let shape_of (p : Problem.t) =
-    ( Array.length p.Problem.operations,
-      List.map (fun (d : Problem.dependence) -> (d.dep_src, d.dep_dst)) p.Problem.dependences
-    )
-
-  let create (p : Problem.t) : t =
-    Problem.check_input p;
-    let n, deps = shape_of p in
-    let lp = Lp.create () in
-    let t =
-      Array.init n (fun i ->
-          let op = p.Problem.operations.(i) in
-          Lp.add_int_var lp ~lower:op.lot.earliest ?upper:op.lot.latest
-            ~name:(Printf.sprintf "t%d" i))
-    in
-    let breakers = Problem.chain_breakers p in
-    let is_breaker d = List.memq d breakers in
-    List.iter
-      (fun (d : Problem.dependence) ->
-        let lat = p.Problem.operations.(d.dep_src).lot.latency in
-        let rhs = if is_breaker d then lat + 1 else lat in
-        Lp.add_int_constraint lp [ (1, t.(d.dep_dst)); (-1, t.(d.dep_src)) ] Lp.Ge rhs)
-      p.Problem.dependences;
-    let cost = Array.make n 1 in
-    List.iter
-      (fun (d : Problem.dependence) ->
-        cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
-        cost.(d.dep_src) <- cost.(d.dep_src) - 1)
-      p.Problem.dependences;
-    Lp.set_int_objective lp (List.init n (fun i -> (cost.(i), t.(i))));
-    { n; deps; inst = Lp.Instance.create lp; lock = Mutex.create () }
-
-  (* Same dependence-graph structure? (Latencies, windows and the breaker
-     set are data and may differ; operation count and edge list may not.) *)
-  let compatible inc (p : Problem.t) = shape_of p = (inc.n, inc.deps)
-
-  let schedule inc (p : Problem.t) : outcome =
-    Problem.check_input p;
-    if not (compatible inc p) then
-      Problem.problem_error "Ilp_scheduler.Incremental: dependence graph changed shape";
-    Mutex.protect inc.lock (fun () ->
-        Array.iteri
-          (fun i (op : Problem.operation) ->
-            Lp.Instance.update_bounds inc.inst i ~lower:(Lp.Rat.of_int op.lot.earliest)
-              ~upper:(Option.map Lp.Rat.of_int op.lot.latest))
-          p.Problem.operations;
-        let breakers = Problem.chain_breakers p in
-        let is_breaker d = List.memq d breakers in
-        List.iteri
-          (fun row (d : Problem.dependence) ->
-            let lat = p.Problem.operations.(d.dep_src).lot.latency in
-            let rhs = if is_breaker d then lat + 1 else lat in
-            Lp.Instance.update_rhs inc.inst row (Lp.Rat.of_int rhs))
-          p.Problem.dependences;
-        match Lp.Instance.resolve inc.inst with
-        | `Infeasible | `Unbounded -> Infeasible
-        | `Optimal sol ->
-            Array.iteri
-              (fun i _ -> p.Problem.start_time.(i) <- Lp.value_int sol i)
-              p.Problem.operations;
-            Problem.compute_start_time_in_cycle p;
-            Scheduled)
-
-  let stats inc = Lp.Instance.stats inc.inst
-  let classify inc = Lp.Instance.classify inc.inst
-end
+let schedule p = schedule_netflow ~rounds:(ref 0) p
 
 (* Textual dump of the generated ILP (Figure 7 instance). *)
 let ilp_text p =

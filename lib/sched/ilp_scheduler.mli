@@ -10,49 +10,38 @@
    (C4) integrality / non-negativity
    (C5) t_i + latency_i + 1 <= t_j        for every chain-breaking edge
 
-   The paper solves this with Cbc via OR-Tools; we use the exact
-   branch-and-bound solver from lib/lp. *)
+   The paper solves this with Cbc via OR-Tools. {!schedule_netflow}
+   solves it exactly on the network structure of the problem;
+   {!schedule_exact} (rational simplex plus branch and bound) is the
+   reference oracle for it. *)
 
 type outcome = Scheduled | Infeasible
 val horizon : Problem.t -> int
+
 val build_ilp : Problem.t -> Lp.problem * int array
+(** The Figure 7 ILP and its start-time variables. *)
+
 val schedule_exact : Problem.t -> outcome
-val schedule_netflow : Problem.t -> outcome
-type backend = Exact | Netflow
-val schedule : ?backend:backend -> Problem.t -> outcome
+(** Solve {!build_ilp} with {!Lp.solve}. Slow on large graphs; kept as
+    the Figure 7 oracle for tests and behind {!ilp_text}. *)
+
+val precedence_edges : Problem.t -> Lp.Netopt.edge list
+(** The difference edges of constraints C1 and C5, one per dependence in
+    dependence order: weight [latency src], plus 1 when the dependence is
+    a chain breaker (the C5 row dominates its C1 row). Shared by every
+    Bellman-Ford pass over a scheduling problem. *)
+
+val schedule_netflow : rounds:int ref -> Problem.t -> outcome
+(** The scheduling path of the flow: the Figure 7 optimum with the
+    lifetimes eliminated (node costs 1 + indegree - outdegree), solved by
+    {!Lp.Netopt.solve} over {!precedence_edges}. Writes the start times
+    into the problem. [rounds] accumulates Bellman-Ford sweeps. *)
+
+val schedule : Problem.t -> outcome
+(** {!schedule_netflow} without a counter. *)
+
 val ilp_text : Problem.t -> string
 
 val ilp_size : Problem.t -> int * int
 (** [(variables, constraints)] of the Figure 7 ILP for this instance,
     computed without building it (profiling must stay cheap). *)
-
-(** Persistent incremental scheduler: one {!Lp.Instance} kept alive
-    across the re-schedules of a DSE sweep. The Figure 7 ILP is lowered
-    as in [schedule_netflow] (lifetimes eliminated, node costs
-    1 + indegree - outdegree) with C1/C5 merged into one row per
-    dependence; between grid points only right-hand sides (chain-breaker
-    flips) and bounds (window changes) move, and {!Lp.Instance.resolve}
-    warm-starts from the previous solution. Produces schedules identical
-    to [schedule_netflow], warm or cold. Thread-safe: re-schedules on the
-    same instance are serialized by an internal mutex. *)
-module Incremental : sig
-  type t
-
-  val create : Problem.t -> t
-  (** Snapshot the dependence-graph structure of [p] into a persistent
-      solver instance. *)
-
-  val compatible : t -> Problem.t -> bool
-  (** Whether [p] has the operation count and dependence list this
-      instance was created from (latencies, windows and the breaker set
-      are data and may differ freely). *)
-
-  val schedule : t -> Problem.t -> outcome
-  (** Push the current latencies, windows and chain-breaker set of [p]
-      into the instance, re-solve (warm when possible), and write the
-      start times back into [p]. Raises {!Problem.Problem_error} when
-      [compatible] is false. *)
-
-  val stats : t -> Lp.Instance.stats
-  val classify : t -> Lp.Instance.klass
-end

@@ -428,6 +428,20 @@ let test_dse_session_reuse () =
     [ "hlir"; "lil"; "optimize" ];
   check_bool "schedule re-runs per grid point" true
     (List.length (Obs.find_spans cold_root "schedule") > n_funcs);
+  (* the session counts every ILP schedule and its Bellman-Ford sweeps,
+     matching the solver.bf_rounds metric of the schedule spans *)
+  let ilp_rounds =
+    List.filter_map
+      (fun s -> Obs.get_int s "solver.bf_rounds")
+      (Obs.find_spans cold_root "schedule")
+  in
+  let solver_stats () = Longnail.Flow.session_solver_stats ss.Longnail.Dse.ss_flow in
+  let st = solver_stats () in
+  check_int "ILP schedules counted" (List.length ilp_rounds) st.Lp.Instance.is_resolves;
+  check_int "bf rounds counted" (List.fold_left ( + ) 0 ilp_rounds) st.Lp.Instance.is_bf_rounds;
+  check_bool "ILP path ran" true (st.Lp.Instance.is_resolves > 0);
+  check_int "no solver instances" 0
+    (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow);
   let obs_warm = Obs.create ~name:"dse-warm" () in
   let warm =
     Longnail.Dse.explore ~sweep:ss
@@ -437,6 +451,7 @@ let test_dse_session_reuse () =
   Obs.finish obs_warm;
   let warm_root = Obs.root obs_warm in
   check_bool "warm sweep returns identical points" true (warm = cold);
+  check_bool "warm sweep schedules nothing" true (solver_stats () = st);
   List.iter
     (fun stage ->
       check_int ("warm " ^ stage ^ " never runs") 0

@@ -2,7 +2,7 @@
 
 module Rat = Lp.Rat
 module Simplex = Lp.Simplex
-module Difference = Lp.Difference
+module Netopt = Lp.Netopt
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -47,7 +47,7 @@ let test_simplex_basic () =
       ([| rat 0; rat 1 |], Simplex.Le, rat 2);
     ]
   in
-  let _, obj_v = opt_values (Simplex.solve ~obj ~rows) in
+  let _, obj_v = opt_values (Simplex.solve ~obj ~rows ()) in
   Alcotest.(check (float 1e-9)) "objective" (-4.0) obj_v
 
 let test_simplex_eq_and_ge () =
@@ -56,7 +56,7 @@ let test_simplex_eq_and_ge () =
   let rows =
     [ ([| rat 1; rat 1 |], Simplex.Ge, rat 3); ([| rat 1; rat 0 |], Simplex.Eq, rat 1) ]
   in
-  let x, obj_v = opt_values (Simplex.solve ~obj ~rows) in
+  let x, obj_v = opt_values (Simplex.solve ~obj ~rows ()) in
   Alcotest.(check (float 1e-9)) "x" 1.0 x.(0);
   Alcotest.(check (float 1e-9)) "y" 2.0 x.(1);
   Alcotest.(check (float 1e-9)) "obj" 3.0 obj_v
@@ -66,14 +66,14 @@ let test_simplex_infeasible () =
   let rows =
     [ ([| rat 1 |], Simplex.Ge, rat 5); ([| rat 1 |], Simplex.Le, rat 2) ]
   in
-  (match Simplex.solve ~obj ~rows with
+  (match Simplex.solve ~obj ~rows () with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible")
 
 let test_simplex_unbounded () =
   let obj = [| rat (-1) |] in
   let rows = [ ([| rat 1 |], Simplex.Ge, rat 0) ] in
-  (match Simplex.solve ~obj ~rows with
+  (match Simplex.solve ~obj ~rows () with
   | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded")
 
@@ -87,7 +87,7 @@ let test_simplex_degenerate () =
       ([| rat 2; rat 1 |], Simplex.Le, rat 0);
     ]
   in
-  let _, obj_v = opt_values (Simplex.solve ~obj ~rows) in
+  let _, obj_v = opt_values (Simplex.solve ~obj ~rows ()) in
   Alcotest.(check (float 1e-9)) "degenerate optimum" 0.0 obj_v
 
 (* ---- MILP ---- *)
@@ -166,41 +166,34 @@ let test_lp_to_text () =
   in
   check_bool "mentions bounds" true (contains "bounds" txt)
 
-(* ---- Difference-constraint solver ---- *)
+(* ---- Difference-constraint solver (Netopt.asap) ---- *)
+
+let edge src dst w = { Netopt.e_src = src; e_dst = dst; e_w = w }
+
+let asap ~n ?(lower = Array.make n 0) ?(upper = Array.make n None) edges =
+  Netopt.asap ~n ~edges ~lower ~upper ()
 
 let test_difference_matches_ilp () =
-  let d = Difference.create 3 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:1;
-  Difference.add_ge d ~src:1 ~dst:2 ~weight:1;
-  Difference.set_lower d 1 3;
-  (match Difference.solve d with
+  match asap ~n:3 ~lower:[| 0; 3; 0 |] [ edge 0 1 1; edge 1 2 1 ] with
   | Some sol ->
       check_int "t0" 0 sol.(0);
       check_int "t1" 3 sol.(1);
       check_int "t2" 4 sol.(2)
-  | None -> Alcotest.fail "expected feasible")
+  | None -> Alcotest.fail "expected feasible"
 
 let test_difference_infeasible_upper () =
-  let d = Difference.create 2 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:5;
-  Difference.set_upper d 1 3;
-  check_bool "infeasible" true (Difference.solve d = None)
+  check_bool "infeasible" true (asap ~n:2 ~upper:[| None; Some 3 |] [ edge 0 1 5 ] = None)
 
 let test_difference_positive_cycle () =
-  let d = Difference.create 2 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:1;
-  Difference.add_ge d ~src:1 ~dst:0 ~weight:1;
-  check_bool "positive cycle infeasible" true (Difference.solve d = None)
+  check_bool "positive cycle infeasible" true (asap ~n:2 [ edge 0 1 1; edge 1 0 1 ] = None)
 
-(* ---- persistent instances (warm-start API) ---- *)
-
-module I = Lp.Instance
+(* ---- one-shot netflow vs. the MILP solver ---- *)
 
 (* a scheduling-shaped integer program: difference rows t_dst - t_src >= w
    over [sp_n] variables, plus per-variable bounds and integer costs. The
-   arrays are the mutable data an incremental sweep moves; [build_problem]
-   rebuilds a fresh one-shot problem from the current numbers so every
-   warm resolve can be checked against a genuinely cold solve. *)
+   arrays are the mutable data a perturbation chain moves; [build_problem]
+   builds the MILP from the current numbers and [netopt_solve] solves the
+   same numbers on the network path. *)
 type ispec = {
   sp_n : int;
   sp_deps : (int * int) list;  (* (dst, src), row order *)
@@ -229,21 +222,36 @@ let build_problem spec =
 
 let cold_solve spec = Lp.solve (build_problem spec)
 
-(* push the spec's current numbers into the instance *)
-let sync_instance inst spec =
-  List.iteri (fun r _ -> I.update_rhs inst r (rat spec.sp_w.(r))) spec.sp_deps;
-  Array.iteri
-    (fun v _ ->
-      I.update_bounds inst v ~lower:(rat spec.sp_lower.(v))
-        ~upper:(Option.map rat spec.sp_upper.(v)))
-    spec.sp_lower
+let netopt_solve spec =
+  let edges =
+    List.mapi (fun r (dst, src) -> edge src dst spec.sp_w.(r)) spec.sp_deps
+  in
+  match
+    Netopt.solve ~n:spec.sp_n ~edges ~lower:spec.sp_lower ~upper:spec.sp_upper
+      ~cost:spec.sp_cost ()
+  with
+  | None -> `Infeasible
+  | Some t -> `Optimal t
+  | exception Netopt.Unbounded -> `Unbounded
 
-let outcome_matches name warm cold =
-  match (warm, cold) with
-  | `Optimal (sa : Lp.solution), `Optimal (sb : Lp.solution) ->
-      Rat.equal sa.Lp.objective sb.Lp.objective
-      || QCheck.Test.fail_reportf "%s: warm obj %s <> cold obj %s" name
-           (Rat.to_string sa.Lp.objective) (Rat.to_string sb.Lp.objective)
+(* the netflow point must be feasible and match the MILP optimum *)
+let outcome_matches name spec net cold =
+  match (net, cold) with
+  | `Optimal t, `Optimal (s : Lp.solution) ->
+      let feasible =
+        List.for_all2
+          (fun (dst, src) w -> t.(dst) - t.(src) >= w)
+          spec.sp_deps (Array.to_list spec.sp_w)
+        && Array.for_all2 ( <= ) spec.sp_lower t
+        && Array.for_all2
+             (fun up ti -> match up with None -> true | Some u -> ti <= u)
+             spec.sp_upper t
+      in
+      let obj = rat (Netopt.objective ~cost:spec.sp_cost t) in
+      (feasible || QCheck.Test.fail_reportf "%s: netflow point infeasible" name)
+      && (Rat.equal obj s.Lp.objective
+         || QCheck.Test.fail_reportf "%s: netflow obj %s <> milp obj %s" name
+              (Rat.to_string obj) (Rat.to_string s.Lp.objective))
   | `Infeasible, `Infeasible | `Unbounded, `Unbounded -> true
   | _ ->
       let show = function
@@ -251,92 +259,14 @@ let outcome_matches name warm cold =
         | `Infeasible -> "infeasible"
         | `Unbounded -> "unbounded"
       in
-      QCheck.Test.fail_reportf "%s: warm %s, cold %s" name (show warm) (show cold)
-
-let test_instance_classification () =
-  let diff =
-    { sp_n = 3; sp_deps = [ (1, 0); (2, 1) ]; sp_w = [| 1; 1 |];
-      sp_lower = [| 0; 0; 0 |]; sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
-  in
-  check_str "pure difference system" "difference"
-    (I.klass_name (I.classify (I.create (build_problem diff))));
-  let netflow = { diff with sp_cost = [| 1; -2; 1 |]; sp_upper = [| Some 9; Some 9; Some 9 |] } in
-  check_str "negative costs go to netflow" "netflow"
-    (I.klass_name (I.classify (I.create (build_problem netflow))));
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~upper:1 ~name:"x" in
-  let y = Lp.add_int_var p ~upper:1 ~name:"y" in
-  Lp.add_int_constraint p [ (2, x); (3, y) ] Lp.Le 4;
-  Lp.set_int_objective p [ (-1, x); (-1, y) ];
-  check_str "general row goes to milp" "milp" (I.klass_name (I.classify (I.create p)))
-
-let test_instance_update_guards () =
-  let spec =
-    { sp_n = 2; sp_deps = [ (1, 0) ]; sp_w = [| 1 |]; sp_lower = [| 0; 0 |];
-      sp_upper = [| None; None |]; sp_cost = [| 1; 1 |] }
-  in
-  let inst = I.create (build_problem spec) in
-  check_int "row count" 1 (I.nrows inst);
-  (match I.update_rhs inst 3 Rat.one with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for rhs row out of range");
-  match I.update_bounds inst 7 ~lower:Rat.zero ~upper:None with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for bounds var out of range"
-
-let test_instance_warm_counters () =
-  (* a monotone-tightening chain stays on the fast path and warm-starts
-     every resolve after the first *)
-  let spec =
-    { sp_n = 3; sp_deps = [ (1, 0); (2, 1) ]; sp_w = [| 1; 1 |]; sp_lower = [| 0; 0; 0 |];
-      sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
-  in
-  let inst = I.create (build_problem spec) in
-  ignore (I.resolve inst);
-  I.update_rhs inst 0 (rat 2);
-  ignore (I.resolve inst);
-  I.update_bounds inst 1 ~lower:(rat 4) ~upper:None;
-  (match I.resolve inst with
-  | `Optimal sol ->
-      check_int "t1 pushed to 4" 4 (Rat.to_int_exn sol.Lp.values.(1));
-      check_int "t2 follows" 5 (Rat.to_int_exn sol.Lp.values.(2))
-  | _ -> Alcotest.fail "expected optimal");
-  let st = I.stats inst in
-  check_int "three resolves" 3 st.I.is_resolves;
-  check_int "all on the fast path" 3 st.I.is_fastpath;
-  check_int "one cold start" 1 st.I.is_warm_misses;
-  check_int "two warm hits" 2 st.I.is_warm_hits;
-  check_bool "no simplex pivots" true (st.I.is_pivots = 0)
-
-let test_instance_milp_warm_basis () =
-  (* general rows go through the simplex; the second resolve reuses the
-     root basis (dual repair) instead of a fresh Phase 1 *)
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~upper:1 ~name:"x" in
-  let y = Lp.add_int_var p ~upper:1 ~name:"y" in
-  let z = Lp.add_int_var p ~upper:1 ~name:"z" in
-  Lp.add_int_constraint p [ (3, x); (4, y); (2, z) ] Lp.Le 6;
-  Lp.set_int_objective p [ (-10, x); (-13, y); (-7, z) ];
-  let inst = I.create p in
-  check_str "milp class" "milp" (I.klass_name (I.classify inst));
-  (match I.resolve inst with
-  | `Optimal sol -> check_int "knapsack optimum" (-20) (Rat.to_int_exn sol.Lp.objective)
-  | _ -> Alcotest.fail "expected optimal");
-  I.update_rhs inst 0 (rat 5);
-  (match I.resolve inst with
-  | `Optimal sol -> check_int "tightened optimum" (-17) (Rat.to_int_exn sol.Lp.objective)
-  | _ -> Alcotest.fail "expected optimal");
-  let st = I.stats inst in
-  check_int "no fast path" 0 st.I.is_fastpath;
-  check_bool "second resolve warm" true (st.I.is_warm_hits >= 1);
-  check_bool "b&b nodes counted" true (st.I.is_bnb_nodes >= 2)
+      QCheck.Test.fail_reportf "%s: netflow %s, milp %s" name (show net) (show cold)
 
 let test_simplex_budget_exhausted () =
   let obj = [| rat 1; rat 1 |] in
   let rows =
     [ ([| rat 1; rat 1 |], Simplex.Ge, rat 3); ([| rat 1; rat 0 |], Simplex.Eq, rat 1) ]
   in
-  match Simplex.solve_ext ~budget:0 ~obj ~rows () with
+  match Simplex.solve ~budget:0 ~obj ~rows () with
   | exception Simplex.Iteration_limit b -> check_int "budget carried" 0 b
   | _ -> Alcotest.fail "expected Iteration_limit"
 
@@ -360,15 +290,13 @@ let prop_rat_floor_le =
       Rat.le f x && Rat.lt x (Rat.add f Rat.one))
 
 let prop_difference_minimality =
-  (* the difference solver returns the componentwise-minimal solution: every
-     solution point satisfies all constraints *)
+  (* the difference solver's least element satisfies every constraint *)
   QCheck.Test.make ~name:"difference solution satisfies all constraints" ~count:100
     (QCheck.list_of_size (QCheck.Gen.return 10)
        (QCheck.triple (QCheck.int_range 0 5) (QCheck.int_range 0 5) (QCheck.int_range 0 3)))
     (fun edges ->
-      let d = Difference.create 6 in
-      List.iter (fun (s, t, w) -> if s <> t then Difference.add_ge d ~src:s ~dst:t ~weight:w) edges;
-      match Difference.solve d with
+      let es = List.filter_map (fun (s, t, w) -> if s <> t then Some (edge s t w) else None) edges in
+      match asap ~n:6 es with
       | None -> true (* cycles possible with random edges *)
       | Some sol ->
           List.for_all (fun (s, t, w) -> s = t || sol.(t) - sol.(s) >= w) edges
@@ -376,7 +304,7 @@ let prop_difference_minimality =
 
 (* random scheduling-shaped spec: a DAG of difference rows (dst > src, so
    the initial system is always feasible) plus a perturbation chain that
-   only tightens — exactly the shape an incremental DSE sweep produces *)
+   only tightens, as a DSE sweep over shrinking clock periods does *)
 let gen_diff_chain =
   QCheck.Gen.(
     int_range 3 6 >>= fun n ->
@@ -412,29 +340,23 @@ let apply_perturb spec = function
   | `Low (v, d) -> spec.sp_lower.(v) <- spec.sp_lower.(v) + d
   | `Up (v, u) -> spec.sp_upper.(v) <- u
 
+(* at every step of the chain, one-shot Netopt.solve agrees with Lp.solve *)
 let run_chain (spec, perturbs) =
-  let inst = I.create (build_problem spec) in
-  let step name =
-    sync_instance inst spec;
-    outcome_matches name (I.resolve inst) (cold_solve spec)
-  in
-  let ok0 = step "initial" in
-  ok0
+  let step name = outcome_matches name spec (netopt_solve spec) (cold_solve spec) in
+  step "initial"
   && List.for_all
        (fun pert ->
          apply_perturb spec pert;
          step "after perturbation")
        perturbs
 
-let prop_instance_warm_equals_cold =
-  QCheck.Test.make ~name:"warm resolve == cold solve on tightening chains" ~count:60
-    (QCheck.make gen_diff_chain) (fun ((spec, _) as chain) ->
-      let inst = I.create (build_problem spec) in
-      I.classify inst = I.Difference && run_chain chain)
+let prop_netopt_tightening =
+  QCheck.Test.make ~name:"netopt == milp solve on tightening chains" ~count:60
+    (QCheck.make gen_diff_chain) run_chain
 
 (* same shape but with negative costs, finite-or-absent uppers and
-   loosening updates too: resolves must track the cold solver through
-   optimal -> infeasible -> optimal -> unbounded transitions *)
+   loosening updates too: the chain passes through optimal -> infeasible
+   -> optimal -> unbounded transitions *)
 let gen_transition_chain =
   QCheck.Gen.(
     int_range 3 5 >>= fun n ->
@@ -472,47 +394,10 @@ let gen_transition_chain =
         },
         perturbs ))
 
-let prop_instance_transitions =
+let prop_netopt_transitions =
   QCheck.Test.make
-    ~name:"resolve tracks cold solver through infeasible/unbounded transitions" ~count:60
+    ~name:"netopt tracks milp solver through infeasible/unbounded transitions" ~count:60
     (QCheck.make gen_transition_chain) run_chain
-
-(* general (non-difference) rows: the simplex/B&B path with root-basis
-   reuse and incumbent seeding must also agree with cold solves while the
-   capacity moves in both directions *)
-let gen_milp_chain =
-  QCheck.Gen.(
-    list_size (return 3) (int_range 1 5) >>= fun ws ->
-    list_size (return 3) (int_range 1 10) >>= fun vals ->
-    int_range 1 8 >>= fun cap ->
-    list_size (int_range 1 6) (int_range (-3) 3) >>= fun deltas ->
-    return (ws, vals, cap, deltas))
-
-let prop_instance_milp_warm_equals_cold =
-  QCheck.Test.make ~name:"milp warm resolve == cold solve under rhs perturbation" ~count:40
-    (QCheck.make gen_milp_chain) (fun (ws, vals, cap, deltas) ->
-      let build c =
-        let p = Lp.create () in
-        let xs =
-          List.mapi (fun i _ -> Lp.add_int_var p ~upper:1 ~name:(Printf.sprintf "x%d" i)) ws
-        in
-        Lp.add_int_constraint p (List.map2 (fun w x -> (w, x)) ws xs) Lp.Le c;
-        Lp.set_int_objective p (List.map2 (fun v x -> (-v, x)) vals xs);
-        p
-      in
-      let inst = I.create (build cap) in
-      let step c name =
-        I.update_rhs inst 0 (rat c);
-        outcome_matches name (I.resolve inst) (Lp.solve (build c))
-      in
-      let ok0 = step cap "initial" in
-      let c = ref cap in
-      ok0
-      && List.for_all
-           (fun d ->
-             c := !c + d;
-             step !c "after capacity move")
-           deltas)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -520,9 +405,8 @@ let qcheck_cases =
       prop_rat_field;
       prop_rat_floor_le;
       prop_difference_minimality;
-      prop_instance_warm_equals_cold;
-      prop_instance_transitions;
-      prop_instance_milp_warm_equals_cold;
+      prop_netopt_tightening;
+      prop_netopt_transitions;
     ]
 
 let () =
@@ -555,13 +439,6 @@ let () =
           Alcotest.test_case "matches ILP result" `Quick test_difference_matches_ilp;
           Alcotest.test_case "upper bound infeasible" `Quick test_difference_infeasible_upper;
           Alcotest.test_case "positive cycle" `Quick test_difference_positive_cycle;
-        ] );
-      ( "instance",
-        [
-          Alcotest.test_case "classification" `Quick test_instance_classification;
-          Alcotest.test_case "update guards" `Quick test_instance_update_guards;
-          Alcotest.test_case "warm counters" `Quick test_instance_warm_counters;
-          Alcotest.test_case "milp warm basis" `Quick test_instance_milp_warm_basis;
         ] );
       ("properties", qcheck_cases);
     ]

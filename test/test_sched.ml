@@ -165,8 +165,12 @@ let random_problem rng =
     Array.init n (fun i ->
         let earliest = Random.State.int rng 3 in
         let latest = if Random.State.bool rng then Some (earliest + Random.State.int rng 6) else None in
-        let latency = Random.State.int rng 2 in
-        P.add_operation b ~label:(Printf.sprintf "o%d" i) (ot "t" ~earliest ?latest ~latency))
+        let latency = if Random.State.int rng 4 = 0 then 1 else 0 in
+        (* combinational delay only on zero-latency ops, each within the
+           cycle time *)
+        let outgoing_delay = if latency = 0 then float_of_int (1 + Random.State.int rng 3) else 0.0 in
+        P.add_operation b ~label:(Printf.sprintf "o%d" i)
+          (ot "t" ~earliest ?latest ~latency ~outgoing_delay))
   in
   (* random forward edges to keep the graph acyclic *)
   for i = 0 to n - 1 do
@@ -174,7 +178,9 @@ let random_problem rng =
       if Random.State.int rng 100 < 35 then P.add_dependence b ~src:ops.(i) ~dst:ops.(j)
     done
   done;
-  P.finish b
+  (* half the problems chain combinational delay against a cycle time,
+     so chain breakers (constraint C5) come into play *)
+  P.finish ?cycle_time:(if Random.State.bool rng then Some 3.0 else None) b
 
 let objective p =
   let st = Array.fold_left ( + ) 0 p.P.start_time in
@@ -187,8 +193,8 @@ let prop_netflow_matches_exact =
       let p1 = random_problem rng in
       let rng = Random.State.make [| seed |] in
       let p2 = random_problem rng in
-      let r1 = Sched.Ilp_scheduler.schedule ~backend:Sched.Ilp_scheduler.Netflow p1 in
-      let r2 = Sched.Ilp_scheduler.schedule ~backend:Sched.Ilp_scheduler.Exact p2 in
+      let r1 = Sched.Ilp_scheduler.schedule p1 in
+      let r2 = Sched.Ilp_scheduler.schedule_exact p2 in
       match (r1, r2) with
       | Sched.Ilp_scheduler.Infeasible, Sched.Ilp_scheduler.Infeasible -> true
       | Sched.Ilp_scheduler.Scheduled, Sched.Ilp_scheduler.Scheduled ->
@@ -206,7 +212,7 @@ let prop_asap_minimal =
       let p2 = random_problem rng in
       match
         ( Sched.Asap_scheduler.schedule p1,
-          Sched.Ilp_scheduler.schedule ~backend:Sched.Ilp_scheduler.Netflow p2 )
+          Sched.Ilp_scheduler.schedule p2 )
       with
       | Sched.Asap_scheduler.Scheduled, Sched.Ilp_scheduler.Scheduled ->
           Array.for_all2 (fun a b -> a <= b) p1.P.start_time p2.P.start_time
