@@ -91,7 +91,7 @@ let knob_flags_term : (string * string option) list Term.t =
 
 (* Malformed knob values are plain usage errors (exit 2) — except flags
    with a structured diagnostic code ([Knob_flags.error_code]): unknown
-   --sim-engine / --emit names raise E0913 with did-you-mean suggestions,
+   --emit names raise E0913 with did-you-mean suggestions,
    rendered like any other diagnostic (exit 1). *)
 let resolve_knob_flags settings =
   List.fold_left
@@ -424,7 +424,7 @@ let run_cmd =
           Printf.printf "cycles: %d, instructions: %d\n" cycles m.Riscv.Machine.instret;
           dump_regs (Riscv.Machine.read_gpr m)
       | `Pipeline ->
-          let p = Riscv.Pipeline.create ~engine:kf.Longnail.Knob_flags.sim_engine c in
+          let p = Riscv.Pipeline.create c in
           Riscv.Pipeline.load_program p ~base:sim.reset_pc words;
           Riscv.Pipeline.write_gpr p 2 sim.sp_init;
           let cycles = Riscv.Pipeline.run p in
@@ -433,7 +433,7 @@ let run_cmd =
           Printf.printf "cycles: %d, instructions: %d\n" cycles p.Riscv.Pipeline.instret;
           dump_regs (Riscv.Pipeline.read_gpr p)
       | `Rtl_loop ->
-          let rl = Riscv.Rtl_loop.create ~engine:kf.Longnail.Knob_flags.sim_engine c in
+          let rl = Riscv.Rtl_loop.create c in
           Riscv.Rtl_loop.load_program rl ~base:sim.reset_pc words;
           let instret = Riscv.Rtl_loop.run rl in
           Printf.printf "engine: RTL-in-the-loop (%s)\n" core.Scaiev.Datasheet.core_name;

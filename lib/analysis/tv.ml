@@ -1,7 +1,10 @@
 (* Translation validation for optimization passes (see the .mli).
 
-   Equivalence is checked by co-simulating the two graphs through
-   {!Ir.Comb_eval}, the single concrete semantics of the [comb] dialect:
+   Equivalence is checked by co-simulating the two graphs on the compiled
+   RTL engine ({!Rtl.Compiled}): each graph is compiled once into a
+   netlist with one [Comb] node per comb op, its free inputs as input
+   ports and every signal named by SSA id; each vector then sets the
+   ports, settles the logic and reads the observables.
 
    - the free inputs are the results of non-comb ops (interface reads,
      instruction fields, ...). Passes never touch those ops, so the two
@@ -53,41 +56,58 @@ let fail ~pass_name fmt =
            (Printf.sprintf "translation validation failed in pass '%s': %s" pass_name msg)))
     fmt
 
-(* evaluate [g] under the free-input assignment [env0]; returns the
-   observable stream *)
-let eval_graph (g : graph) (env0 : (int, Bitvec.t) Hashtbl.t) :
-    (string * Bitvec.t list) list =
-  let env : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 64 in
-  let lookup (v : value) =
-    match Hashtbl.find_opt env v.vid with
-    | Some x -> x
-    | None -> (
-        match Hashtbl.find_opt env0 v.vid with
-        | Some x -> x
-        | None -> Bitvec.zero (Bitvec.unsigned_ty v.vty.Bitvec.width))
+let signal (v : value) = "v" ^ string_of_int v.vid
+
+(* A graph compiled for co-simulation: the engine, the port driven by
+   each free input of the original ([None] for one this graph dropped),
+   and the observable stream as (skeleton, operand signals). *)
+type sim = {
+  engine : Rtl.Compiled.t;
+  ports : string option list;
+  observed : (string * string list) list;
+}
+
+let port (v : value) =
+  { Rtl.Netlist.port_name = signal v; port_width = v.vty.Bitvec.width; port_signal = signal v }
+
+let compile ~inputs (g : graph) : sim =
+  let ops = all_ops g in
+  let nodes =
+    List.filter_map
+      (fun (op : op) ->
+        match op.results with
+        | [ r ] when Ir.Comb_eval.is_comb op.opname ->
+            Some
+              (Rtl.Netlist.Comb
+                 {
+                   out = signal r;
+                   width = r.vty.Bitvec.width;
+                   op = op.opname;
+                   attrs = op.attrs;
+                   inputs = List.map signal op.operands;
+                 })
+        | _ -> None)
+      ops
   in
-  let obs = ref [] in
-  List.iter
-    (fun (op : op) ->
-      (if Ir.Comb_eval.is_comb op.opname then
-         match op.results with
-         | [ r ] ->
-             let ops = List.map lookup op.operands in
-             let res =
-               Ir.Comb_eval.eval ~name:op.opname ~attrs:op.attrs ~ops
-                 ~result_width:r.vty.Bitvec.width
-             in
-             Hashtbl.replace env r.vid res
-         | _ -> ()
-       else
-         (* free input: take the driven value *)
-         List.iter
-           (fun (r : value) -> Hashtbl.replace env r.vid (lookup r))
-           op.results);
-      if Ir.Passes.has_side_effect op then
-        obs := (op_skeleton op, List.map lookup op.operands) :: !obs)
-    (all_ops g);
-  List.rev !obs
+  let effects = List.filter Ir.Passes.has_side_effect ops in
+  (* the observed operands are output ports, so an undefined one is a
+     [Netlist_error] at compile time *)
+  let outputs = List.concat_map (fun (op : op) -> List.map port op.operands) effects in
+  let own = free_inputs g in
+  let m = { Rtl.Netlist.mod_name = g.gname; inputs = List.map port own; outputs; nodes } in
+  let has (v : value) = List.exists (fun (o : value) -> o.vid = v.vid) own in
+  let ports = List.map (fun v -> if has v then Some (signal v) else None) inputs in
+  {
+    engine = Rtl.Compiled.create m;
+    ports;
+    observed = List.map (fun op -> (op_skeleton op, List.map signal op.operands)) effects;
+  }
+
+(* drive [vec] onto the ports of [s]; returns the observable stream *)
+let observe (s : sim) (vec : Bitvec.t list) : (string * Bitvec.t list) list =
+  List.iter2 (fun p x -> Option.iter (fun p -> Rtl.Compiled.set_input s.engine p x) p) s.ports vec;
+  Rtl.Compiled.eval s.engine;
+  List.map (fun (sk, sigs) -> (sk, List.map (Rtl.Compiled.signal s.engine) sigs)) s.observed
 
 (* deterministic seed from the graph name and pass, so reruns drive the
    same sample *)
@@ -105,24 +125,18 @@ let bn_random st w =
   done;
   !x
 
-let assignment_render inputs env0 =
+let assignment_render inputs vec =
   String.concat ", "
-    (List.map
-       (fun (v : value) ->
-         let x =
-           match Hashtbl.find_opt env0 v.vid with
-           | Some x -> x
-           | None -> Bitvec.zero (Bitvec.unsigned_ty v.vty.Bitvec.width)
-         in
-         Printf.sprintf "%%%d=%s" v.vid (Bitvec.to_hex_string x))
-       inputs)
+    (List.map2
+       (fun (v : value) x -> Printf.sprintf "%%%d=%s" v.vid (Bitvec.to_hex_string x))
+       inputs vec)
 
-let check_vector ~pass_name ~original ~optimized inputs env0 =
-  let oa = eval_graph original env0 and ob = eval_graph optimized env0 in
+let check_vector ~pass_name ~original ~optimized inputs vec =
+  let oa = observe original vec and ob = observe optimized vec in
   if List.length oa <> List.length ob then
     fail ~pass_name "graphs perform %d vs %d side effects under %s" (List.length oa)
       (List.length ob)
-      (assignment_render inputs env0)
+      (assignment_render inputs vec)
   else
     List.iter2
       (fun (ska, va) (skb, vb) ->
@@ -133,7 +147,7 @@ let check_vector ~pass_name ~original ~optimized inputs env0 =
           fail ~pass_name
             "counterexample on %s: %s observes [%s] in the original but [%s] after the pass"
             ska
-            (assignment_render inputs env0)
+            (assignment_render inputs vec)
             (String.concat ";" (List.map Bitvec.to_hex_string va))
             (String.concat ";" (List.map Bitvec.to_hex_string vb)))
       oa ob
@@ -144,67 +158,51 @@ let validate ~pass_name ~(original : graph) ~(optimized : graph) : verdict =
      may drop an input that became unused (dce of interface reads) but
      can never invent or retype one. *)
   let inputs = free_inputs original in
-  let inputs' = free_inputs optimized in
   let id_ty (v : value) = (v.vid, v.vty) in
   let originals = List.map id_ty inputs in
   List.iter
     (fun v ->
       if not (List.mem (id_ty v) originals) then
         fail ~pass_name "the pass rewrote a non-combinational (interface) op")
-    inputs';
+    (free_inputs optimized);
+  let sim_of g =
+    try compile ~inputs g
+    with Rtl.Netlist.Netlist_error m -> fail ~pass_name "ill-formed graph %s: %s" g.gname m
+  in
+  let sa = sim_of original and sb = sim_of optimized in
   let total_bits = List.fold_left (fun acc (v : value) -> acc + v.vty.Bitvec.width) 0 inputs in
-  let drive env0 = check_vector ~pass_name ~original ~optimized inputs env0 in
+  let vectors = ref 0 in
+  let drive vec =
+    incr vectors;
+    check_vector ~pass_name ~original:sa ~optimized:sb inputs vec
+  in
+  let const_vec f =
+    List.map (fun (v : value) -> Bitvec.of_bn (Bitvec.unsigned_ty v.vty.Bitvec.width) (f v)) inputs
+  in
+  let ones (v : value) = Bn.sub (Bn.pow2 v.vty.Bitvec.width) Bn.one in
   if total_bits <= exhaustive_budget then begin
-    let n = 1 lsl total_bits in
-    for i = 0 to n - 1 do
-      let env0 = Hashtbl.create 16 in
-      let off = ref 0 in
-      List.iter
-        (fun (v : value) ->
-          let w = v.vty.Bitvec.width in
-          let slice = (i lsr !off) land ((1 lsl w) - 1) in
-          Hashtbl.replace env0 v.vid (Bitvec.of_int (Bitvec.unsigned_ty w) slice);
-          off := !off + w)
-        inputs;
-      drive env0
+    for i = 0 to (1 lsl total_bits) - 1 do
+      drive
+        (snd
+           (List.fold_left_map
+              (fun off (v : value) ->
+                let w = v.vty.Bitvec.width in
+                (off + w, Bitvec.of_int (Bitvec.unsigned_ty w) ((i lsr off) land ((1 lsl w) - 1))))
+              0 inputs))
     done;
-    { tv_pass = pass_name; tv_vectors = max n 1; tv_exhaustive = true }
+    { tv_pass = pass_name; tv_vectors = !vectors; tv_exhaustive = true }
   end
   else begin
-    let vectors = ref 0 in
-    let drive env0 = incr vectors; drive env0 in
-    let const_vec f =
-      let env0 = Hashtbl.create 16 in
-      List.iter
-        (fun (v : value) ->
-          let w = v.vty.Bitvec.width in
-          Hashtbl.replace env0 v.vid (Bitvec.of_bn (Bitvec.unsigned_ty w) (f w)))
-        inputs;
-      env0
-    in
     (* corners: all zeros, all ones, then each input saturated alone *)
     drive (const_vec (fun _ -> Bn.zero));
-    drive (const_vec (fun w -> Bn.sub (Bn.pow2 w) Bn.one));
+    drive (const_vec ones);
     List.iter
       (fun (vsat : value) ->
-        let env0 = Hashtbl.create 16 in
-        List.iter
-          (fun (v : value) ->
-            let w = v.vty.Bitvec.width in
-            let x = if v.vid = vsat.vid then Bn.sub (Bn.pow2 w) Bn.one else Bn.zero in
-            Hashtbl.replace env0 v.vid (Bitvec.of_bn (Bitvec.unsigned_ty w) x))
-          inputs;
-        drive env0)
+        drive (const_vec (fun v -> if v.vid = vsat.vid then ones v else Bn.zero)))
       inputs;
     let st = Random.State.make (seed_of ~pass_name original) in
     for _ = 1 to random_vectors do
-      let env0 = Hashtbl.create 16 in
-      List.iter
-        (fun (v : value) ->
-          let w = v.vty.Bitvec.width in
-          Hashtbl.replace env0 v.vid (Bitvec.of_bn (Bitvec.unsigned_ty w) (bn_random st w)))
-        inputs;
-      drive env0
+      drive (const_vec (fun v -> bn_random st v.vty.Bitvec.width))
     done;
     { tv_pass = pass_name; tv_vectors = !vectors; tv_exhaustive = false }
   end

@@ -10,14 +10,20 @@
       outright.
     - {e observables} are the side-effecting ops
       ({!Ir.Passes.has_side_effect}) in op order: opname, attributes,
-      and the concrete patterns of their operands under
-      {!Ir.Comb_eval} evaluation.
+      and the concrete patterns of their operands.
+
+    Both graphs are evaluated on the compiled RTL engine
+    ({!Rtl.Compiled}): each is compiled once into a netlist of its comb
+    ops, and every vector sets its ports and settles the logic. The
+    engine is tested op for op against {!Ir.Comb_eval}, the reference
+    semantics of [comb].
 
     When the summed free-input width is at most {!exhaustive_budget}
     bits the whole input space is enumerated (a proof); otherwise corner
     vectors plus a fixed-seed pseudo-random sample are driven, so runs
     are deterministic. Any mismatch raises {!Diag.Fatal} with code
-    [E0530] naming the pass and a counterexample assignment. *)
+    [E0530] naming the pass and a counterexample assignment; so does a
+    graph that does not form a netlist (an operand with no definition). *)
 
 type verdict = {
   tv_pass : string;

@@ -131,6 +131,13 @@ type frame = {
 
 exception Return_exc of Bitvec.t option
 
+(* Every amount at or beyond the operand width shifts all bits out, so the
+   amount is clamped there; this also keeps amounts beyond the native int
+   range from raising. *)
+let shift_amount va vb =
+  let w = Bitvec.width va in
+  match Bitvec.to_int_opt vb with Some k -> min k w | None -> w
+
 let rec eval st (fr : frame) (e : texpr) : Bitvec.t =
   match e.te with
   | T_lit v -> v
@@ -190,8 +197,8 @@ and eval_binop st fr loc op a b =
       | Div ->
           if B.is_zero vb then runtime_error loc "division by zero" else B.div va vb
       | Rem -> if B.is_zero vb then runtime_error loc "remainder by zero" else B.rem va vb
-      | Shl -> B.cast (B.typ va) (B.shift_left va (B.to_int vb))
-      | Shr -> B.cast (B.typ va) (B.shift_right va (B.to_int vb))
+      | Shl -> B.cast (B.typ va) (B.shift_left va (shift_amount va vb))
+      | Shr -> B.cast (B.typ va) (B.shift_right va (shift_amount va vb))
       | And -> B.logand va vb
       | Or -> B.logor va vb
       | Xor -> B.logxor va vb

@@ -238,31 +238,16 @@ let to_string d = Format.asprintf "%a" render_text d
 
 (* ---- JSON rendering ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_span s =
   Printf.sprintf
     {|{"file":"%s","line":%d,"col":%d,"end_line":%d,"end_col":%d}|}
-    (json_escape s.sp_file) s.sp_line s.sp_col s.sp_end_line s.sp_end_col
+    (Json.escape s.sp_file) s.sp_line s.sp_col s.sp_end_line s.sp_end_col
 
 let json_of_diag d =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf {|{"severity":"%s","code":"%s","message":"%s"|}
-       (severity_to_string d.severity) (json_escape d.code) (json_escape d.message));
+       (severity_to_string d.severity) (Json.escape d.code) (Json.escape d.message));
   (match d.span with
   | Some s when span_is_valid s -> Buffer.add_string buf (",\"span\":" ^ json_of_span s)
   | _ -> Buffer.add_string buf ",\"span\":null");
@@ -272,13 +257,13 @@ let json_of_diag d =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf {|{"span":%s,"text":"%s"}|} (json_of_span l.lb_span)
-           (json_escape l.lb_text)))
+           (Json.escape l.lb_text)))
     d.labels;
   Buffer.add_string buf "],\"notes\":[";
   List.iteri
     (fun i n ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf {|"%s"|} (json_escape n)))
+      Buffer.add_string buf (Json.quote n))
     d.notes;
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -1,9 +1,11 @@
-(* Evaluation semantics of the signless [comb] dialect.
+(* Evaluation semantics of the signless [comb] dialect: the reference.
 
-   Shared by the constant-folding pass and the RTL simulator: both need to
-   compute the value of a comb operation from unsigned bit patterns. All
-   inputs and the output are {!Bitvec} values with unsigned types; signed
-   operators (divs, shrs, signed comparisons) reinterpret their patterns. *)
+   Constant folding, Absint, the reference RTL interpreter and the
+   compiled engine's wide fallback evaluate through it; the compiled
+   engine's native-int kernel, which also runs translation validation, is
+   tested against it op for op. All inputs and the output are {!Bitvec}
+   values with unsigned types; signed operators (divs, shrs, signed
+   comparisons) reinterpret their patterns. *)
 
 let u w = Bitvec.unsigned_ty w
 let s w = Bitvec.signed_ty w
@@ -19,8 +21,9 @@ let eval ~name ~(attrs : (string * Mir.attr) list) ~(ops : Bitvec.t list) ~resul
   let wrap v = Bitvec.cast (u w) v in
   let a () = List.nth ops 0 and b () = List.nth ops 1 in
   let shift_amount () =
-    (* amounts >= width produce 0 (or the sign fill for shrs) *)
-    Bitvec.to_int (b ())
+    (* amounts >= width produce 0 (or the sign fill for shrs); one beyond
+       the native int range is such an amount *)
+    Option.value (Bitvec.to_int_opt (b ())) ~default:max_int
   in
   match name with
   | "hw.constant" -> (
@@ -54,8 +57,10 @@ let eval ~name ~(attrs : (string * Mir.attr) list) ~(ops : Bitvec.t list) ~resul
       let n = w / Bitvec.width (List.hd ops) in
       Bitvec.replicate (List.hd ops) n
   | "comb.shl" ->
+      (* shift at the result width (SystemVerilog's context-determined
+         [<<]), so bits shifted past a narrower operand's top survive *)
       let k = shift_amount () in
-      if k >= w then Bitvec.zero (u w) else wrap (Bitvec.shift_left (a ()) k)
+      if k >= w then Bitvec.zero (u w) else wrap (Bitvec.shift_left (wrap (a ())) k)
   | "comb.shru" ->
       let k = shift_amount () in
       if k >= w then Bitvec.zero (u w) else wrap (Bitvec.shift_right (a ()) k)

@@ -1,9 +1,12 @@
-(** Evaluation semantics of the signless [comb] dialect.
+(** Evaluation semantics of the signless [comb] dialect: the reference.
 
-   Shared by the constant-folding pass and the RTL simulator: both need to
-   compute the value of a comb operation from unsigned bit patterns. All
-   inputs and the output are {!Bitvec} values with unsigned types; signed
-   operators (divs, shrs, signed comparisons) reinterpret their patterns. *)
+   Constant folding, Absint, the reference RTL interpreter and the
+   compiled engine's wide fallback evaluate through it; the compiled
+   engine's native-int kernel, which also runs translation validation, is
+   tested against it op for op. All inputs and the output are {!Bitvec}
+   values with unsigned types; signed operators (divs, shrs, signed
+   comparisons) reinterpret their patterns. Shift amounts beyond the
+   native int range shift every bit out. *)
 
 val u : int -> Bitvec.ty
 val s : int -> Bitvec.ty

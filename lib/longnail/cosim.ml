@@ -45,14 +45,11 @@ exception Cosim_error of string
 
 (* Run one instruction (or one always-block evaluation) through the module.
    Inputs are applied in the stage recorded in each binding; outputs are
-   sampled in theirs. All stall inputs are held low. The compiled engine
-   is the default; [~engine:Rtl.Engine.Interp] cross-checks against the
-   reference interpreter. *)
-let run ?(engine = Rtl.Engine.Compiled) (f : Flow.compiled_functionality)
-    (stim : stimulus) : response =
+   sampled in theirs. All stall inputs are held low. *)
+let run (f : Flow.compiled_functionality) (stim : stimulus) : response =
   let hw = f.cf_hw in
   let m = hw.Hwgen.netlist in
-  let sim = Rtl.Engine.create ~kind:engine m in
+  let sim = Rtl.Engine.create m in
   let u w = Bitvec.unsigned_ty w in
   (* hold stall inputs low *)
   List.iter

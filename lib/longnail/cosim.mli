@@ -32,9 +32,6 @@ type response = {
 }
 exception Cosim_error of string
 
-val run :
-  ?engine:Rtl.Engine.kind -> Flow.compiled_functionality -> stimulus -> response
+val run : Flow.compiled_functionality -> stimulus -> response
 (** Run one instruction (or always-block evaluation) through the module
-    on the chosen simulation engine (compiled by default; pass
-    [~engine:Rtl.Engine.Interp] to cross-check the reference
-    interpreter). *)
+    on the compiled simulation engine. *)

@@ -124,7 +124,6 @@ type knobs = {
   k_delay : Delay_model.spec;
   k_cycle_time : float option;  (* None = the core's base clock period *)
   k_hazard_handling : bool;
-  k_sim_engine : Rtl.Engine.kind;  (* RTL-in-the-loop simulation engine *)
   k_backend : Rtl.Backend.kind;  (* HDL emission backend *)
   k_narrow : bool;  (* analysis-driven width narrowing (TV-guarded) *)
 }
@@ -135,30 +134,24 @@ let default_knobs =
     k_delay = Delay_model.Default;
     k_cycle_time = None;
     k_hazard_handling = true;
-    k_sim_engine = Rtl.Engine.Compiled;
     k_backend = Rtl.Backend.Sv;
     k_narrow = false;
   }
 
 let knobs ?(scheduler = Sched_build.Ilp) ?(delay = Delay_model.Default) ?cycle_time
-    ?(hazard_handling = true) ?(sim_engine = Rtl.Engine.Compiled)
-    ?(backend = Rtl.Backend.Sv) ?(narrow = false) () =
+    ?(hazard_handling = true) ?(backend = Rtl.Backend.Sv) ?(narrow = false) () =
   { k_scheduler = scheduler; k_delay = delay; k_cycle_time = cycle_time;
-    k_hazard_handling = hazard_handling; k_sim_engine = sim_engine; k_backend = backend;
-    k_narrow = narrow }
+    k_hazard_handling = hazard_handling; k_backend = backend; k_narrow = narrow }
 
 let scheduler_name = function Sched_build.Ilp -> "ilp" | Sched_build.Asap -> "asap"
 
 (* The knob part of the per-functionality sched key. Hazard handling is
    deliberately absent: it only affects the adapter (target artifact).
-   The simulation engine cannot change any artifact (engines are asserted
-   bit-identical) but is still keyed so engine-tagged runs never share
-   entries; the emission backend changes the HDL text and must be keyed. *)
+   The emission backend changes the HDL text and must be keyed. *)
 let func_knobs_key k =
-  Printf.sprintf "%s|ct:%s|%s|eng:%s|be:%s|nw:%s" (scheduler_name k.k_scheduler)
+  Printf.sprintf "%s|ct:%s|%s|be:%s|nw:%s" (scheduler_name k.k_scheduler)
     (match k.k_cycle_time with Some ct -> Printf.sprintf "%h" ct | None -> "core")
     (Delay_model.spec_key k.k_delay)
-    (Rtl.Engine.kind_to_string k.k_sim_engine)
     (Rtl.Backend.to_string k.k_backend)
     (if k.k_narrow then "on" else "off")
 
@@ -337,7 +330,6 @@ module Request = struct
             k_delay = Option.value delay ~default:Delay_model.Default;
             k_cycle_time = cycle_time;
             k_hazard_handling = Option.value hazard_handling ~default:true;
-            k_sim_engine = Rtl.Engine.Compiled;
             k_backend = Rtl.Backend.Sv;
             k_narrow = false;
           }

@@ -85,8 +85,6 @@ type knobs = {
   k_cycle_time : float option;  (** [None] = the core's base clock period *)
   k_hazard_handling : bool;
       (** scoreboard for decoupled mode; only affects the target artifact *)
-  k_sim_engine : Rtl.Engine.kind;
-      (** RTL-in-the-loop simulation engine (compiled by default) *)
   k_backend : Rtl.Backend.kind;
       (** HDL emission backend: SystemVerilog or Verilog-2001 *)
   k_narrow : bool;
@@ -97,15 +95,13 @@ type knobs = {
 
 val default_knobs : knobs
 (** ILP scheduler, the paper's uniform cycle-time-derived delay model, the
-    core's base period, hazard handling on, compiled simulation engine,
-    SystemVerilog emission. *)
+    core's base period, hazard handling on, SystemVerilog emission. *)
 
 val knobs :
   ?scheduler:Sched_build.scheduler ->
   ?delay:Delay_model.spec ->
   ?cycle_time:float ->
   ?hazard_handling:bool ->
-  ?sim_engine:Rtl.Engine.kind ->
   ?backend:Rtl.Backend.kind ->
   ?narrow:bool ->
   unit ->
@@ -113,9 +109,8 @@ val knobs :
 
 val func_knobs_key : knobs -> string
 (** The knob component of sched-artifact keys (excludes hazard handling,
-    which only appears in the target key; includes the simulation engine,
-    emission backend and narrowing knob, so switching any of them never
-    shares artifacts). *)
+    which only appears in the target key; includes the emission backend
+    and narrowing knob, so switching either never shares artifacts). *)
 
 val delay_model_for : Scaiev.Datasheet.t -> knobs -> Delay_model.t
 (** Resolve the knob's delay spec against the effective cycle time. *)

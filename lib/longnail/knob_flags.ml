@@ -24,11 +24,6 @@ let specs =
       doc = "Drop the decoupled-mode scoreboard (the Table 4 ablation row).";
     };
     {
-      name = "sim-engine";
-      arg = Some "ENGINE";
-      doc = "RTL simulation engine: compiled (default) or interp (the reference interpreter).";
-    };
-    {
       name = "emit";
       arg = Some "BACKEND";
       doc = "HDL emission backend: sv (SystemVerilog, default) or v2001 (Verilog-2001 subset).";
@@ -75,7 +70,6 @@ type t = {
   delay : Delay_model.spec;
   cycle_time : float option;
   hazard_handling : bool;
-  sim_engine : Rtl.Engine.kind;
   emit_backend : Rtl.Backend.kind;
   narrow : bool;
   jobs : int;
@@ -92,7 +86,6 @@ let default =
     delay = Delay_model.Default;
     cycle_time = None;
     hazard_handling = true;
-    sim_engine = Rtl.Engine.Compiled;
     emit_backend = Rtl.Backend.Sv;
     narrow = false;
     jobs = 1;
@@ -123,13 +116,9 @@ let set t name value =
       | Some f when f > 0.0 -> Ok { t with cycle_time = Some f }
       | _ -> err "--cycle-time expects a positive number of ns, got '%s'" v)
   | "no-hazard-handling", None -> Ok { t with hazard_handling = false }
-  | "sim-engine", Some v -> (
+  | "emit", Some v -> (
       (* Rtl.Choice supplies the did-you-mean hint; front ends map this
          to the structured E0913 diagnostic via [error_code]. *)
-      match Rtl.Engine.kind_of_string v with
-      | Ok k -> Ok { t with sim_engine = k }
-      | Error m -> err "--sim-engine: %s" m)
-  | "emit", Some v -> (
       match Rtl.Backend.of_string v with
       | Ok k -> Ok { t with emit_backend = k }
       | Error m -> err "--emit: %s" m)
@@ -197,17 +186,14 @@ let knobs t =
     k_delay = t.delay;
     k_cycle_time = t.cycle_time;
     k_hazard_handling = t.hazard_handling;
-    k_sim_engine = t.sim_engine;
     k_backend = t.emit_backend;
     k_narrow = t.narrow;
   }
 
 (* Flags whose rejections are structured diagnostics rather than plain
-   usage errors: unknown engine/backend names are E0913 (same shape as
-   the E0912 unknown-core diagnostic, with did-you-mean suggestions). *)
-let error_code = function
-  | "sim-engine" | "emit" -> Some "E0913"
-  | _ -> None
+   usage errors: unknown backend names are E0913 (same shape as the
+   E0912 unknown-core diagnostic, with did-you-mean suggestions). *)
+let error_code = function "emit" -> Some "E0913" | _ -> None
 
 let disk t =
   Option.map

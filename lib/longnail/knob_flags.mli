@@ -10,7 +10,6 @@
     --delay MODEL           default, physical, or uniform:NS
     --cycle-time NS         target cycle time (default: the core's period)
     --no-hazard-handling    drop the decoupled-mode scoreboard
-    --sim-engine ENGINE     compiled (default) or interp
     --emit BACKEND          sv (SystemVerilog, default) or v2001
     --narrow MODE           analysis-driven width narrowing: on or off (default)
     --jobs N                worker domains for batch compiles (default 1)
@@ -32,7 +31,6 @@ type t = {
   delay : Delay_model.spec;
   cycle_time : float option;
   hazard_handling : bool;
-  sim_engine : Rtl.Engine.kind;
   emit_backend : Rtl.Backend.kind;
   narrow : bool;
   jobs : int;
@@ -60,9 +58,9 @@ val knobs : t -> Flow.knobs
 
 val error_code : string -> string option
 (** [error_code name] is the structured diagnostic code for rejections
-    of flag [name], when it has one: [--sim-engine] and [--emit] map to
-    E0913 ("unknown simulation engine or emission backend", with
-    did-you-mean suggestions); other flags are plain usage errors. *)
+    of flag [name], when it has one: [--emit] maps to E0913 ("unknown
+    simulation engine or emission backend", with did-you-mean
+    suggestions); other flags are plain usage errors. *)
 
 val disk : t -> Cache.Disk.t option
 (** The persistent store named by [--store DIR] (opened with the

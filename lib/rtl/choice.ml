@@ -1,7 +1,7 @@
-(* Closed-name-set parsing with did-you-mean suggestions, shared by the
-   engine and backend selectors (and anything else with a small fixed
-   vocabulary). Mirrors the suggestion shape of Core_registry.resolve so
-   "unknown core" and "unknown engine/backend" read the same way. *)
+(* Closed-name-set parsing with did-you-mean suggestions, used by the
+   backend selector (and anything else with a small fixed vocabulary).
+   Mirrors the suggestion shape of Core_registry.resolve so "unknown
+   core" and "unknown backend" read the same way. *)
 
 let levenshtein a b =
   let la = String.length a and lb = String.length b in

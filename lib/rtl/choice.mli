@@ -1,5 +1,5 @@
-(** Closed-name-set parsing with did-you-mean suggestions, shared by
-    {!Engine.kind_of_string} and {!Backend.of_string}. Error messages
+(** Closed-name-set parsing with did-you-mean suggestions, used by
+    {!Backend.of_string}. Error messages
     follow the same "unknown X 'y' (available: ...); did you mean ...?"
     shape as the core registry's resolver. *)
 

@@ -6,7 +6,11 @@
    wide signal) falls back to the {!Ir.Comb_eval} reference semantics on
    {!Bitvec} values, so narrow and wide paths are bit-identical to the
    interpreter in {!Sim} by construction of the narrow ops and by shared
-   code for the rest. *)
+   code for the rest.
+
+   It is the one production evaluator of concrete [comb] graphs: RTL
+   co-simulation and translation validation ({!Analysis.Tv}, which
+   compiles each MIR graph into a netlist) both run on it. *)
 
 open Netlist
 
@@ -40,7 +44,7 @@ type t = {
 let netlist t = t.m
 
 let create (m : Netlist.t) : t =
-  validate m;
+  let order = topo_nodes m in
   (* arena layout: one slot per defined signal *)
   let slots = Hashtbl.create 64 in
   let n_ints = ref 0 and n_wides = ref 0 in
@@ -296,7 +300,7 @@ let create (m : Netlist.t) : t =
     Array.iter (fun f -> f ()) commits
   in
   let steps =
-    topo_nodes m |> List.filter_map compile_node |> Array.of_list
+    List.filter_map compile_node order |> Array.of_list
   in
   { m; slots; ints; wides; steps; commit_regs }
 

@@ -5,7 +5,9 @@
     node touching one) fall back to the {!Ir.Comb_eval} reference
     semantics on {!Bitvec}, keeping results bit-identical to {!Sim}.
 
-    The API mirrors {!Sim}; use {!Engine} to select between the two. *)
+    RTL co-simulation and translation validation ([Analysis.Tv]) both
+    run on this engine. The API mirrors {!Sim}; {!Engine} puts the two
+    behind one type for cross-checks. *)
 
 type t
 

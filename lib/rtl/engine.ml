@@ -1,15 +1,10 @@
 (* The common simulation-engine interface: the reference interpreter
    ({!Sim}) and the compiled engine ({!Compiled}) behind one type, so
    every RTL-in-the-loop consumer (cosimulation, fuzzing, the core grids,
-   VCD tracing) is engine-agnostic and can cross-check engines. *)
+   VCD tracing) runs the compiled engine while the tests and the bench's
+   [--assert-sim-equal] cross-check it against the interpreter. *)
 
 type kind = Interp | Compiled
-
-let kind_to_string = function Interp -> "interp" | Compiled -> "compiled"
-let all_kinds = [ ("interp", Interp); ("compiled", Compiled) ]
-let kind_names = List.map fst all_kinds
-
-let kind_of_string s = Choice.parse ~what:"simulation engine" ~choices:all_kinds s
 
 type t = I of Sim.t | C of Compiled.t
 

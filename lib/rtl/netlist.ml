@@ -49,12 +49,23 @@ let comb_deps = function
   | Reg _ -> []  (* registers break combinational cycles *)
 
 (* Topological order of the combinational nodes; registers come first (their
-   outputs are state), then combs in dependency order. Detects comb loops. *)
+   outputs are state), then combs in dependency order. Checks the module on
+   the way: unique signal names, resolved references, no comb loops. *)
 let topo_nodes (m : t) =
   let by_out = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace by_out (node_out n) n) m.nodes;
+  List.iter
+    (fun n ->
+      let o = node_out n in
+      if Hashtbl.mem by_out o then nl_error "signal %s defined twice" o;
+      Hashtbl.replace by_out o n)
+    m.nodes;
   let inputs = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace inputs p.port_signal ()) m.inputs;
+  List.iter
+    (fun p ->
+      if Hashtbl.mem by_out p.port_signal || Hashtbl.mem inputs p.port_signal then
+        nl_error "input %s shadows a node" p.port_signal;
+      Hashtbl.replace inputs p.port_signal ())
+    m.inputs;
   let visited = Hashtbl.create 64 and visiting = Hashtbl.create 64 in
   let order = ref [] in
   let rec visit sig_name =
@@ -87,20 +98,7 @@ let topo_nodes (m : t) =
 let registers m : reg_node list = List.filter_map (function Reg r -> Some r | _ -> None) m.nodes
 
 (* quick sanity check: unique signal names, ports resolved *)
-let validate m =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let o = node_out n in
-      if Hashtbl.mem seen o then nl_error "signal %s defined twice" o;
-      Hashtbl.replace seen o ())
-    m.nodes;
-  List.iter
-    (fun p ->
-      if Hashtbl.mem seen p.port_signal then nl_error "input %s shadows a node" p.port_signal;
-      Hashtbl.replace seen p.port_signal ())
-    m.inputs;
-  ignore (topo_nodes m)
+let validate m = ignore (topo_nodes m)
 
 (* ---- structural statistics (used by the ASIC flow model) ---- *)
 

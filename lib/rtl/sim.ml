@@ -21,7 +21,7 @@ type t = {
 let u w = Bitvec.unsigned_ty w
 
 let create (m : Netlist.t) =
-  validate m;
+  let order = topo_nodes m in
   let values = Hashtbl.create 64 in
   (* inputs and registers start at zero / their reset value *)
   List.iter (fun p -> Hashtbl.replace values p.port_signal (Bitvec.zero (u p.port_width))) m.inputs;
@@ -30,7 +30,7 @@ let create (m : Netlist.t) =
       Hashtbl.replace values r.out
         (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width)))
     (registers m);
-  { m; values; order = topo_nodes m }
+  { m; values; order }
 
 let set_input t name v =
   match List.find_opt (fun p -> p.port_name = name) t.m.inputs with

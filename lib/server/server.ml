@@ -6,223 +6,7 @@
    request's worker domains (Flow.Request.jobs), so two requests never
    race on the shared session from the dispatch side. *)
 
-(* ---------------------------------------------------------------- *)
-(* JSON                                                             *)
-(* ---------------------------------------------------------------- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string * int
-
-  let utf8_add buf code =
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (msg, !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then begin
-        pos := !pos + l;
-        v
-      end
-      else fail (Printf.sprintf "invalid literal (expected '%s')" lit)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' ->
-            (if !pos >= n then fail "unterminated escape";
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' -> (
-                 if !pos + 4 > n then fail "truncated \\u escape";
-                 let hex = String.sub s !pos 4 in
-                 pos := !pos + 4;
-                 match int_of_string_opt ("0x" ^ hex) with
-                 | Some code -> utf8_add buf code
-                 | None -> fail "invalid \\u escape")
-             | _ -> fail "invalid escape character");
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f -> Num f
-      | None -> fail (Printf.sprintf "invalid number '%s'" tok)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected ',' or '}'"
-            in
-            members []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elems (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  Arr (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']'"
-            in
-            elems []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing bytes after the JSON value";
-      v
-    with
-    | v -> Ok v
-    | exception Parse_error (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let quote s = "\"" ^ escape s ^ "\""
-
-  let number_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num f -> number_to_string f
-    | Str s -> quote s
-    | Arr l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
-    | Obj l ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> quote k ^ ":" ^ to_string v) l)
-        ^ "}"
-
-  let member k = function
-    | Obj l -> ( match List.assoc_opt k l with Some v -> v | None -> Null)
-    | _ -> Null
-
-  let get_string = function Str s -> Some s | _ -> None
-
-  let get_int = function
-    | Num f when Float.is_integer f && Float.abs f < 1e15 -> Some (int_of_float f)
-    | _ -> None
-
-  let get_float = function Num f -> Some f | _ -> None
-  let get_bool = function Bool b -> Some b | _ -> None
-  let get_list = function Arr l -> Some l | _ -> None
-end
+module Json = Json
 
 (* ---------------------------------------------------------------- *)
 (* Daemon state                                                     *)
@@ -326,8 +110,8 @@ let core_error ~id = function
 
    Errors are [(code option, message)]: most rejections are plain
    malformed requests (E0910), but flags with their own diagnostic code
-   ([Knob_flags.error_code] — unknown --sim-engine / --emit names) keep
-   it, so the client sees the same structured E0913 as the CLI. *)
+   ([Knob_flags.error_code] — unknown --emit names) keep it, so the
+   client sees the same structured E0913 as the CLI. *)
 let apply_knobs j =
   let set kf k v =
     match Longnail.Knob_flags.set kf k v with

@@ -760,6 +760,46 @@ let test_tv_catches_miscompile_sampled () =
   | exception Diag.Fatal (d :: _) -> Alcotest.(check string) "code" "E0530" d.Diag.code
   | _ -> Alcotest.fail "wide miscompile not caught"
 
+(* the optimized graph may drop a free input that became unused; the
+   dropped input stays a port of the original's assignment only *)
+let test_tv_dropped_input () =
+  let graph ~keep_rs2 =
+    let bld = M.builder () in
+    let a = M.add_op1 bld "lil.read_rs1" [] (u 8) in
+    if keep_rs2 then ignore (M.add_op1 bld "lil.read_rs2" [] (u 8));
+    let c = M.add_op1 bld "hw.constant" [] (u 8) ~attrs:[ ("value", M.A_bv (Bitvec.of_int (u 8) 3)) ] in
+    ignore (M.add_op bld "lil.write_rd" [ M.add_op1 bld "comb.mul" [ a; c ] (u 8) ] []);
+    ignore (M.add_op bld "lil.sink" [] []);
+    M.finish bld ~name:"tv_drop" ~kind:`Instruction ()
+  in
+  let v = Tv.validate ~pass_name:"dce" ~original:(graph ~keep_rs2:true) ~optimized:(graph ~keep_rs2:false) in
+  Alcotest.(check bool) "sampled, not exhaustive" false v.Tv.tv_exhaustive
+
+(* a side effect may observe a free input directly; writing the wrong one
+   is caught, and an optimized graph reading an undefined value is E0530 *)
+let test_tv_observes_free_input () =
+  let graph pick =
+    let bld = M.builder () in
+    let a = M.add_op1 bld "lil.read_rs1" [] (u 4) in
+    let b = M.add_op1 bld "lil.read_rs2" [] (u 4) in
+    ignore (M.add_op bld "lil.write_rd" [ pick a b ] []);
+    ignore (M.add_op bld "lil.sink" [] []);
+    M.finish bld ~name:"tv_free" ~kind:`Instruction ()
+  in
+  let rs1 = graph (fun a _ -> a) in
+  let v = Tv.validate ~pass_name:"identity" ~original:rs1 ~optimized:rs1 in
+  Alcotest.(check int) "whole 8-bit space driven" 256 v.Tv.tv_vectors;
+  let fails optimized =
+    match Tv.validate ~pass_name:"bad_pass" ~original:rs1 ~optimized with
+    | exception Diag.Fatal (d :: _) ->
+        Alcotest.(check string) "code" "E0530" d.Diag.code;
+        Alcotest.(check string) "names the pass" "translation validation failed in pass 'bad_pass'"
+          (String.sub d.Diag.message 0 48)
+    | _ -> Alcotest.fail "expected E0530"
+  in
+  fails (graph (fun _ b -> b));
+  fails (graph (fun a _ -> { a with M.vid = 1000 }))
+
 (* ---- width narrowing ---- *)
 
 (* every LIL graph of every bundled ISAX, through the narrowing stage:
@@ -918,6 +958,9 @@ let () =
           Alcotest.test_case "injected miscompile (E0530)" `Quick test_tv_catches_miscompile;
           Alcotest.test_case "sampled miscompile (E0530)" `Quick
             test_tv_catches_miscompile_sampled;
+          Alcotest.test_case "optimized graph drops an input" `Quick test_tv_dropped_input;
+          Alcotest.test_case "side effect observes a free input" `Quick
+            test_tv_observes_free_input;
         ] );
       ( "narrow",
         [

@@ -210,6 +210,60 @@ let test_cosim_autoinc_store () =
           check_bool "valid" true w.cw_valid
       | _ -> Alcotest.fail "expected one custreg write")
 
+(* a shift amount beyond the native int range is valid CoreDSL: it
+   shifts every bit out, on the RTL and in translation validation *)
+let test_shift_amount_out_of_range () =
+  let src =
+    {|
+import "RV32I.core_desc"
+InstructionSet X_SHR extends RV32I {
+  instructions {
+    SHRX {
+      encoding: 7'd5 :: rs2[4:0] :: rs1[4:0] :: 3'b011 :: rd[4:0] :: 7'b0101011;
+      behavior: {
+        unsigned<64> amt = X[rs1] :: X[rs2];
+        X[rd] = (unsigned<32>)((unsigned<64>) X[rs1] >> amt);
+      }
+    }
+  }
+}
+|}
+  in
+  let tu = Coredsl.compile ~target:"X_SHR" src in
+  let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
+  let f = Option.get (Longnail.Flow.find_func c "SHRX") in
+  let ti = Option.get (Coredsl.Tast.find_tinstr tu "SHRX") in
+  let word = Coredsl.Interp.encode ti [ ("rs1", bv 1); ("rs2", bv 2); ("rd", bv 3) ] in
+  let resp =
+    Longnail.Cosim.run f
+      {
+        Longnail.Cosim.default_stimulus with
+        instr_word = Some word;
+        rs1 = Some (bv 0xFFFFFFFF);
+        rs2 = Some (bv 0xFFFFFFFF);
+      }
+  in
+  (match resp.rd_write with
+  | Some (v, valid) ->
+      check_str "all bits shifted out" "0x00000000" (Bitvec.to_hex_string v);
+      check_bool "valid" true valid
+  | None -> Alcotest.fail "expected an rd write");
+  (* the reference interpreter agrees *)
+  let st = Coredsl.Interp.create tu in
+  (Coredsl.Interp.reg_array st "X").(3) <- bv 0x12345678;
+  (Coredsl.Interp.reg_array st "X").(1) <- bv 0xFFFFFFFF;
+  (Coredsl.Interp.reg_array st "X").(2) <- bv 0xFFFFFFFF;
+  Coredsl.Interp.exec_instr st ti ~instr_word:word;
+  check_str "interpreter shifts all bits out" "0x00000000"
+    (Bitvec.to_hex_string (Coredsl.Interp.reg_array st "X").(3));
+  let lil =
+    Ir.Passes.optimize
+      (Ir.Lil.of_hlir tu.Coredsl.Tast.elab ~fields:ti.Coredsl.Tast.fields
+         (Ir.Hlir.lower_instruction tu ti))
+  in
+  let v = Analysis.Tv.validate ~pass_name:"identity" ~original:lil ~optimized:lil in
+  check_bool "sampled, corners included" false v.Analysis.Tv.tv_exhaustive
+
 let test_cosim_zol_always () =
   (* the always-block: at END_PC with COUNT != 0 it redirects the PC *)
   let tu = Isax.Registry.compile_by_name "zol" in
@@ -621,6 +675,8 @@ let () =
           Alcotest.test_case "sqrt both variants" `Slow test_cosim_sqrt_both;
           Alcotest.test_case "autoinc store" `Quick test_cosim_autoinc_store;
           Alcotest.test_case "zol always-block" `Quick test_cosim_zol_always;
+          Alcotest.test_case "shift amount beyond int range" `Quick
+            test_shift_amount_out_of_range;
         ] );
       ( "negative",
         [

@@ -220,20 +220,31 @@ let test_cross_engine_vcd_counter () =
 
 (* the generated ISAX modules exercise extract/concat/mux/rom decoding
    paths absent from the handwritten fixtures *)
+(* RV32I ADDI plus every functionality of every bundled ISAX on VexRiscv *)
 let test_cross_engine_vcd_isax () =
-  let tu = Coredsl.compile_rv32i () in
   let core = Scaiev.Datasheet.vexriscv in
-  let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
-  let f = Longnail.Flow.compile_functionality core tu (`Instr addi) in
-  let m = f.Longnail.Flow.cf_hw.Longnail.Hwgen.netlist in
-  let drive cycle =
-    List.map
-      (fun (p : Netlist.port) ->
-        (p.port_name, Bitvec.of_int (u p.port_width) (Hashtbl.hash (p.port_name, cycle))))
-      m.Netlist.inputs
+  let same name (f : Longnail.Flow.compiled_functionality) =
+    let m = f.Longnail.Flow.cf_hw.Longnail.Hwgen.netlist in
+    let drive cycle =
+      List.map
+        (fun (p : Netlist.port) ->
+          (p.port_name, Bitvec.of_int (u p.port_width) (Hashtbl.hash (p.port_name, cycle))))
+        m.Netlist.inputs
+    in
+    let trace kind = Vcd.trace ~engine:kind m ~cycles:16 ~drive in
+    check_traces_equal name (trace Engine.Interp) (trace Engine.Compiled)
   in
-  let trace kind = Vcd.trace ~engine:kind m ~cycles:16 ~drive in
-  check_traces_equal "ADDI" (trace Engine.Interp) (trace Engine.Compiled)
+  let tu = Coredsl.compile_rv32i () in
+  let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
+  same "ADDI" (Longnail.Flow.compile_functionality core tu (`Instr addi));
+  List.iter
+    (fun (e : Isax.Registry.entry) ->
+      let c = Longnail.Flow.compile core (Isax.Registry.compile e) in
+      List.iter
+        (fun (f : Longnail.Flow.compiled_functionality) ->
+          same (e.name ^ "/" ^ f.Longnail.Flow.cf_name) f)
+        c.Longnail.Flow.funcs)
+    Isax.Registry.all
 
 (* widths straddling the int-arena limit: 62 runs on the unboxed path,
    63/64/65 on the Bitvec fallback — both must match Comb_eval exactly *)
@@ -320,10 +331,8 @@ let test_wide_register_accumulate () =
     engines
 
 let test_engine_kind_parse () =
-  check_bool "interp" true (Engine.kind_of_string "interp" = Ok Engine.Interp);
-  check_bool "compiled" true (Engine.kind_of_string "compiled" = Ok Engine.Compiled);
-  (match Engine.kind_of_string "interpp" with
-  | Error m -> check_bool "did-you-mean interp" true (contains m "did you mean 'interp'")
+  (match Backend.of_string "v2002" with
+  | Error m -> check_bool "did-you-mean v2001" true (contains m "did you mean 'v2001'")
   | Ok _ -> Alcotest.fail "expected error");
   check_bool "backend sv" true (Backend.of_string "sv" = Ok Backend.Sv);
   check_bool "backend v2001" true (Backend.of_string "v2001" = Ok Backend.V2001);
@@ -381,14 +390,6 @@ let prop_engines_agree =
         List.mapi
           (fun i (opi, x, y) ->
             let op = binops.(opi mod Array.length binops) in
-            (* Comb_eval (the reference semantics for BOTH engines) raises
-               when a shift amount exceeds the native int range, so shifts
-               only make sense while operands fit in an int *)
-            let op =
-              match op with
-              | ("comb.shl" | "comb.shru" | "comb.shrs") when w > 62 -> "comb.xor"
-              | op -> op
-            in
             let pick pool n = List.nth pool (n mod List.length pool) in
             let out = Printf.sprintf "n%d" i in
             let is_cmp = String.length op > 9 && String.sub op 0 9 = "comb.icmp" in
@@ -461,8 +462,87 @@ let prop_sim_matches_comb_eval =
       let direct = Ir.Comb_eval.eval ~name:op ~attrs:[] ~ops:[ bv w a; bv w b ] ~result_width:rw in
       Bitvec.equal_value (Sim.output s "o") direct)
 
+(* property: the compiled engine agrees with the reference semantics
+   (Comb_eval) on every comb op, one node at a time, with operand and
+   result widths mixed across 1..65 bits so both the native-int kernel
+   and the wide fallback run; operands are drawn from the corner
+   patterns (zero, one, all ones, sign bit) and random ones *)
+let comb_ops =
+  [ "hw.constant"; "comb.add"; "comb.sub"; "comb.mul"; "comb.divu"; "comb.modu"; "comb.divs";
+    "comb.mods"; "comb.and"; "comb.or"; "comb.xor"; "comb.mux"; "comb.extract"; "comb.concat";
+    "comb.replicate"; "comb.shl"; "comb.shru"; "comb.shrs"; "comb.icmp_eq"; "comb.icmp_ne";
+    "comb.icmp_ult"; "comb.icmp_ule"; "comb.icmp_ugt"; "comb.icmp_uge"; "comb.icmp_slt";
+    "comb.icmp_sle"; "comb.icmp_sgt"; "comb.icmp_sge" ]
+
+let prop_compiled_matches_comb_eval =
+  let module Bn = Bitvec.Bn in
+  QCheck.Test.make ~name:"compiled engine matches Comb_eval on every comb op" ~count:2000
+    (QCheck.pair (QCheck.oneofl comb_ops) (QCheck.int_bound 1_000_000))
+    (fun (op, seed) ->
+      let st = Random.State.make [| seed |] in
+      let width () = 1 + Random.State.int st 65 in
+      let value w =
+        let ones = Bn.sub (Bn.pow2 w) Bn.one in
+        let random () =
+          List.init ((w / 24) + 1) (fun _ -> Random.State.bits st)
+          |> List.fold_left (fun acc x -> Bn.add (Bn.shift_left acc 24) (Bn.of_int (x land 0xFFFFFF))) Bn.zero
+        in
+        let x =
+          match Random.State.int st 6 with
+          | 0 -> Bn.zero
+          | 1 -> Bn.one
+          | 2 -> ones
+          | 3 -> Bn.pow2 (w - 1)
+          | _ -> random ()
+        in
+        Bitvec.of_bn (u w) (Bn.mod_pow2 x w)
+      in
+      let w, in_widths, attrs =
+        match op with
+        | "hw.constant" ->
+            let w = width () in
+            (w, [], [ ("value", Ir.Mir.A_bv (value (width ()))) ])
+        | "comb.mux" -> (width (), [ width (); width (); width () ], [])
+        | "comb.extract" ->
+            let wa = width () in
+            let lo = Random.State.int st wa in
+            (1 + Random.State.int st (wa - lo), [ wa ], [ ("lowBit", Ir.Mir.A_int lo) ])
+        | "comb.concat" ->
+            let ws = List.init (1 + Random.State.int st 4) (fun _ -> width ()) in
+            (List.fold_left ( + ) 0 ws, ws, [])
+        | "comb.replicate" ->
+            let wa = width () in
+            (wa * (1 + Random.State.int st 4), [ wa ], [])
+        | op when String.length op > 9 && String.sub op 0 9 = "comb.icmp" ->
+            (1, [ width (); width () ], [])
+        | _ -> (width (), [ width (); width () ], [])
+      in
+      let ops = List.map value in_widths in
+      let names = List.mapi (fun i _ -> Printf.sprintf "i%d" i) ops in
+      let m =
+        {
+          Netlist.mod_name = "one_op";
+          inputs =
+            List.map2
+              (fun n w -> { Netlist.port_name = n; port_width = w; port_signal = n })
+              names in_widths;
+          outputs = [ { port_name = "o"; port_width = w; port_signal = "o" } ];
+          nodes = [ Netlist.Comb { out = "o"; width = w; op; attrs; inputs = names } ];
+        }
+      in
+      let c = Compiled.create m in
+      List.iter2 (Compiled.set_input c) names ops;
+      Compiled.eval c;
+      let got = Compiled.signal c "o" in
+      let want = Ir.Comb_eval.eval ~name:op ~attrs ~ops ~result_width:w in
+      Bn.equal (Bitvec.pattern got) (Bitvec.pattern want)
+      || QCheck.Test.fail_reportf "%s [%s] -> %d bits: compiled %s, Comb_eval %s" op
+           (String.concat "; " (List.map Bitvec.to_hex_string ops))
+           w (Bitvec.to_hex_string got) (Bitvec.to_hex_string want))
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_sim_matches_comb_eval; prop_engines_agree ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_sim_matches_comb_eval; prop_engines_agree; prop_compiled_matches_comb_eval ]
 
 let () =
   Alcotest.run "rtl"
