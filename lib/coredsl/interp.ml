@@ -13,17 +13,12 @@ exception Runtime_error of loc * string
 
 let runtime_error loc fmt = Format.kasprintf (fun m -> raise (Runtime_error (loc, m))) fmt
 
-(* A write performed during execution, for tracing and co-simulation. *)
-type event =
-  | Wr_reg of string * Bitvec.t
-  | Wr_regfile of string * int * Bitvec.t
-  | Wr_mem of string * int * Bitvec.t  (* single element *)
-
 type state = {
   unit_ : tunit;
   regs : (string, Bitvec.t array) Hashtbl.t;
   mems : (string, (int, Bitvec.t) Hashtbl.t) Hashtbl.t;
-  mutable trace : event list;  (* newest first *)
+  decoded : (int * int, tinstr option) Hashtbl.t;
+      (* decode memo: (word width, word value) -> matching instruction *)
 }
 
 let create (tu : tunit) =
@@ -44,7 +39,7 @@ let create (tu : tunit) =
   List.iter
     (fun (s : Elaborate.addr_space) -> Hashtbl.replace mems s.sname (Hashtbl.create 64))
     tu.elab.spaces;
-  { unit_ = tu; regs; mems; trace = [] }
+  { unit_ = tu; regs; mems; decoded = Hashtbl.create 64 }
 
 (* ---- state accessors ---- *)
 
@@ -58,8 +53,7 @@ let read_reg st name = (reg_array st name).(0)
 let write_reg st name v =
   let a = reg_array st name in
   let v = Bitvec.cast (Bitvec.typ a.(0)) v in
-  a.(0) <- v;
-  st.trace <- Wr_reg (name, v) :: st.trace
+  a.(0) <- v
 
 let read_regfile st name idx =
   let a = reg_array st name in
@@ -72,8 +66,7 @@ let write_regfile st name idx v =
   if idx < 0 || idx >= Array.length a then
     runtime_error no_loc "index %d out of range for register file %s" idx name;
   let v = Bitvec.cast (Bitvec.typ a.(0)) v in
-  a.(idx) <- v;
-  st.trace <- Wr_regfile (name, idx, v) :: st.trace
+  a.(idx) <- v
 
 let space_info st name =
   match Elaborate.find_space st.unit_.elab name with
@@ -94,8 +87,7 @@ let read_mem_elem st name addr =
 let write_mem_elem st name addr v =
   let s = space_info st name in
   let v = Bitvec.cast s.elem_ty v in
-  Hashtbl.replace (mem_table st name) addr v;
-  st.trace <- Wr_mem (name, addr, v) :: st.trace
+  Hashtbl.replace (mem_table st name) addr v
 
 (* little-endian multi-element read: element at [addr + elems - 1] is MSB *)
 let read_mem st name addr elems =
@@ -286,9 +278,29 @@ let exec_always st (ta : talways) =
   let fr = { locals = Hashtbl.create 8; fields = [] } in
   exec_stmts st fr ta.ta_body
 
-(* Find the unique instruction matching a word, if any. *)
-let decode st (instr_word : Bitvec.t) =
+(* Find the unique instruction matching a word, if any: the linear scan
+   over every instruction's mask and match bits. *)
+let decode_scan st (instr_word : Bitvec.t) =
   List.find_opt (fun ti -> matches ti instr_word) st.unit_.tinstrs
+
+(* The scan, memoized on the word's width and value rather than its
+   address, so a program that overwrites its own code decodes the new
+   word. Width and value fix the bit pattern that [matches] reads. The
+   memo is dropped whenever it outgrows [decode_memo_limit] entries. *)
+let decode_memo_limit = 1 lsl 16
+
+let decode st (instr_word : Bitvec.t) =
+  match Bitvec.to_int_opt instr_word with
+  | None -> decode_scan st instr_word
+  | Some v -> (
+      let key = (Bitvec.width instr_word, v) in
+      match Hashtbl.find_opt st.decoded key with
+      | Some r -> r
+      | None ->
+          let r = decode_scan st instr_word in
+          if Hashtbl.length st.decoded >= decode_memo_limit then Hashtbl.reset st.decoded;
+          Hashtbl.add st.decoded key r;
+          r)
 
 (* Encode an instruction word from field values (inverse of decode_field);
    used by tests and the assembler for custom instructions. *)

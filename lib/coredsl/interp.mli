@@ -9,15 +9,12 @@ module Bn = Bitvec.Bn
 exception Runtime_error of Ast.loc * string
 val runtime_error :
   Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-type event =
-    Wr_reg of string * Bitvec.t
-  | Wr_regfile of string * int * Bitvec.t
-  | Wr_mem of string * int * Bitvec.t
 type state = {
   unit_ : Tast.tunit;
   regs : (string, Bitvec.t array) Hashtbl.t;
   mems : (string, (int, Bitvec.t) Hashtbl.t) Hashtbl.t;
-  mutable trace : event list;
+  decoded : (int * int, Tast.tinstr option) Hashtbl.t;
+      (** memo of {!decode}, keyed by the word's width and value *)
 }
 val create : Tast.tunit -> state
 val reg_array : state -> string -> Bitvec.t array
@@ -52,5 +49,10 @@ val matches : Tast.tinstr -> Bitvec.t -> bool
 val exec_instr :
   state -> Tast.tinstr -> instr_word:Bitvec.t -> unit
 val exec_always : state -> Tast.talways -> unit
+
 val decode : state -> Bitvec.t -> Tast.tinstr option
+(** The first instruction of the unit whose mask and match bits accept
+    the word. Memoized per state on the word's value (not its address),
+    so self-modifying code decodes what memory holds now. *)
+
 val encode : Tast.tinstr -> (string * Bitvec.t) list -> Bitvec.t

@@ -43,35 +43,63 @@ type response = {
 
 exception Cosim_error of string
 
-(* Run one instruction (or one always-block evaluation) through the module.
-   Inputs are applied in the stage recorded in each binding; outputs are
-   sampled in theirs. All stall inputs are held low. *)
-let run (f : Flow.compiled_functionality) (stim : stimulus) : response =
+(* A module's engine, compiled once, plus what every run of it needs
+   from the netlist. *)
+type t = {
+  f : Flow.compiled_functionality;
+  sim : Rtl.Engine.t;
+  stall_inputs : string list;  (* stall_in* ports, held low *)
+  input_widths : (string, int) Hashtbl.t;  (* input port name -> width *)
+  min_stage : int;
+  max_cycle : int;
+}
+
+let create (f : Flow.compiled_functionality) : t =
   let hw = f.cf_hw in
   let m = hw.Hwgen.netlist in
-  let sim = Rtl.Engine.create m in
-  let u w = Bitvec.unsigned_ty w in
-  (* hold stall inputs low *)
+  let input_widths = Hashtbl.create 16 in
   List.iter
-    (fun (p : Rtl.Netlist.port) ->
-      if String.length p.port_name >= 8 && String.sub p.port_name 0 8 = "stall_in" then
-        Rtl.Engine.set_input sim p.port_name (Bitvec.zero (u 1)))
+    (fun (p : Rtl.Netlist.port) -> Hashtbl.replace input_widths p.port_name p.port_width)
     m.Rtl.Netlist.inputs;
+  let stall_inputs =
+    List.filter_map
+      (fun (p : Rtl.Netlist.port) ->
+        if String.starts_with ~prefix:"stall_in" p.port_name then Some p.port_name else None)
+      m.Rtl.Netlist.inputs
+  in
+  let min_stage =
+    List.fold_left (fun acc (b : Hwgen.iface_binding) -> min acc b.ib_stage) 1000 hw.bindings
+  in
+  {
+    f;
+    sim = Rtl.Engine.create m;
+    stall_inputs;
+    input_widths;
+    min_stage = min min_stage 0;
+    max_cycle = hw.max_stage + 2;
+  }
+
+(* Run one instruction (or one always-block evaluation) through the module.
+   Inputs are applied in the stage recorded in each binding; outputs are
+   sampled in theirs. All stall inputs are held low. The engine is first
+   reset, so every call sees the module exactly as [create] built it. *)
+let exec (t : t) (stim : stimulus) : response =
+  let hw = t.f.cf_hw in
+  let sim = t.sim in
+  Rtl.Engine.reset sim;
+  let u w = Bitvec.unsigned_ty w in
+  List.iter (fun name -> Rtl.Engine.set_input sim name (Bitvec.zero (u 1))) t.stall_inputs;
   let port role (b : Hwgen.iface_binding) =
     match List.assoc_opt role b.ib_ports with
     | Some p -> p
     | None -> raise (Cosim_error (Printf.sprintf "binding %s lacks %s port" b.ib_iface role))
   in
-  let has_input name = List.exists (fun (p : Rtl.Netlist.port) -> p.port_name = name) m.Rtl.Netlist.inputs in
+  let has_input name = Hashtbl.mem t.input_widths name in
   let rd_write = ref None and pc_write = ref None in
   let custreg_writes = ref [] and mem_write = ref None and mem_read_request = ref None in
   (* pending memory response: (cycle, port, value) *)
   let pending_inputs : (int * string * Bitvec.t) list ref = ref [] in
-  let min_stage =
-    List.fold_left (fun acc (b : Hwgen.iface_binding) -> min acc b.ib_stage) 1000 hw.bindings
-  in
-  let min_stage = min min_stage 0 in
-  let max_cycle = hw.max_stage + 2 in
+  let min_stage = t.min_stage and max_cycle = t.max_cycle in
   for cycle = min_stage to max_cycle do
     (* supply plain inputs bound to this stage *)
     List.iter
@@ -124,15 +152,7 @@ let run (f : Flow.compiled_functionality) (stim : stimulus) : response =
           mem_read_request := Some (addr, valid);
           let data_port = port "data" b in
           (* the response arrives one cycle later (RdMem latency) *)
-          let width =
-            match
-              List.find_opt
-                (fun (p : Rtl.Netlist.port) -> p.port_name = data_port)
-                m.Rtl.Netlist.inputs
-            with
-            | Some p -> p.port_width
-            | None -> 32
-          in
+          let width = Option.value ~default:32 (Hashtbl.find_opt t.input_widths data_port) in
           pending_inputs :=
             (cycle + 1, data_port, Bitvec.cast (u width) (stim.mem_read addr (max 1 (width / 8))))
             :: !pending_inputs
@@ -184,3 +204,5 @@ let run (f : Flow.compiled_functionality) (stim : stimulus) : response =
     mem_read_request = !mem_read_request;
     cycles = max_cycle - min_stage + 1;
   }
+
+let run f stim = exec (create f) stim

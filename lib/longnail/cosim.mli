@@ -32,6 +32,25 @@ type response = {
 }
 exception Cosim_error of string
 
+(** A reusable handle on one generated module: its compiled simulation
+    engine, built once, and the port facts every run needs (the
+    [stall_in*] ports, the input port widths, the first and last cycle
+    to drive). A handle is mutable and owned by one caller; it is not
+    meant to be shared across domains. *)
+type t
+
+val create : Flow.compiled_functionality -> t
+(** [create f] topologically sorts and compiles [f]'s netlist once. *)
+
+val exec : t -> stimulus -> response
+(** Run one instruction (or always-block evaluation) through the module.
+    Reset contract: [exec] first resets the engine to the state [create]
+    left it in (inputs and combinational signals zero, registers at their
+    init values), so nothing carries over from an earlier [exec] — no
+    register, no input port, no pending memory response. A response of
+    [exec t stim] therefore equals [run f stim] on a fresh module, for
+    every earlier sequence of stimuli on [t]. *)
+
 val run : Flow.compiled_functionality -> stimulus -> response
-(** Run one instruction (or always-block evaluation) through the module
-    on the compiled simulation engine. *)
+(** [run f stim] is [exec (create f) stim]: one-shot, compiling the
+    module for this call alone. *)

@@ -120,9 +120,7 @@ let load_program m ?(base = 0) words =
   List.iteri
     (fun i w -> Interp.write_mem m.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
     words;
-  write_pc m base;
-  (* loading the program is setup, not execution: clear the trace *)
-  m.st.Interp.trace <- []
+  write_pc m base
 
 let store_word m addr v = Interp.write_mem m.st "MEM" addr 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) v)
 let load_word m addr = Bitvec.to_int (Interp.read_mem m.st "MEM" addr 4)

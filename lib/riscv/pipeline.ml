@@ -111,8 +111,7 @@ let write_pc t v = (Interp.reg_array t.st "PC").(0) <- bv v
 let load_program t ?(base = 0) words =
   List.iteri (fun i w -> Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (bv w)) words;
   t.fetch_pc <- base;
-  write_pc t base;
-  t.st.Interp.trace <- []
+  write_pc t base
 
 let store_word t addr v = Interp.write_mem t.st "MEM" addr 4 (bv v)
 

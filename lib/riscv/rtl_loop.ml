@@ -19,10 +19,27 @@ type t = {
   st : Interp.state;  (* architectural state *)
   mutable instret : int;
   mutable halted : bool;
+  (* one cosimulation handle per module that has executed so far: each
+     module is compiled once per run and reset before every execution *)
+  mutable handles : (Longnail.Flow.compiled_functionality * Longnail.Cosim.t) list;
 }
 
 let create (compiled : Longnail.Flow.compiled) =
-  { compiled; st = Interp.create compiled.Longnail.Flow.unit_; instret = 0; halted = false }
+  {
+    compiled;
+    st = Interp.create compiled.Longnail.Flow.unit_;
+    instret = 0;
+    halted = false;
+    handles = [];
+  }
+
+let handle t (f : Longnail.Flow.compiled_functionality) =
+  match List.assq_opt f t.handles with
+  | Some h -> h
+  | None ->
+      let h = Longnail.Cosim.create f in
+      t.handles <- (f, h) :: t.handles;
+      h
 
 let tu t = t.compiled.Longnail.Flow.unit_
 
@@ -35,8 +52,7 @@ let load_program t ?(base = 0) words =
     (fun i w ->
       Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
     words;
-  write_pc t base;
-  t.st.Interp.trace <- []
+  write_pc t base
 
 (* stimulus reading the current architectural state *)
 let stimulus_of t ?instr_word ?rs1 ?rs2 () =
@@ -80,7 +96,7 @@ let tick_always t =
   List.iter
     (fun (f : Longnail.Flow.compiled_functionality) ->
       if f.cf_kind = `Always then begin
-        let resp = Longnail.Cosim.run f (stimulus_of t ()) in
+        let resp = Longnail.Cosim.exec (handle t f) (stimulus_of t ()) in
         apply_response t resp ~fallthrough_pc:None
       end)
     t.compiled.Longnail.Flow.funcs
@@ -112,8 +128,7 @@ let step t =
             let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs1") in
             let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs2") in
             let resp =
-              Longnail.Cosim.run f
-                (stimulus_of t ~instr_word:word ?rs1 ?rs2 ())
+              Longnail.Cosim.exec (handle t f) (stimulus_of t ~instr_word:word ?rs1 ?rs2 ())
             in
             apply_response t ?rd:(field_value ti word "rd") resp
               ~fallthrough_pc:(Some ((pc + 4) land 0xFFFFFFFF));

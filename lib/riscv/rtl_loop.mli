@@ -17,11 +17,15 @@ type t = {
   st : Interp.state;
   mutable instret : int;
   mutable halted : bool;
+  mutable handles : (Longnail.Flow.compiled_functionality * Longnail.Cosim.t) list;
+      (** the cosimulation handles created so far, one per module *)
 }
 
 val create : Longnail.Flow.compiled -> t
 (** [create compiled] prepares a run; every ISAX and always-block
-    executes through the compiled RTL simulation engine. *)
+    executes through the compiled RTL simulation engine. A module is
+    compiled the first time it executes, and its handle lives exactly as
+    long as [t]; each later execution resets it ({!Longnail.Cosim.exec}). *)
 
 val tu : t -> Coredsl.Tast.tunit
 val read_pc : t -> int

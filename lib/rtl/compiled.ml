@@ -37,6 +37,8 @@ type t = {
   slots : (string, slot) Hashtbl.t;
   ints : int array;  (* narrow signals: unsigned patterns *)
   wides : Bitvec.t array;  (* wide signals: raw Bitvec values, as Sim stores them *)
+  ints0 : int array;  (* the arena as [create] left it: constants, register inits *)
+  wides0 : Bitvec.t array;
   steps : (unit -> unit) array;  (* combinational update program, topo order *)
   commit_regs : unit -> unit;  (* two-phase register update *)
 }
@@ -302,7 +304,13 @@ let create (m : Netlist.t) : t =
   let steps =
     List.filter_map compile_node order |> Array.of_list
   in
-  { m; slots; ints; wides; steps; commit_regs }
+  { m; slots; ints; wides; ints0 = Array.copy ints; wides0 = Array.copy wides; steps; commit_regs }
+
+(* Back to the post-create state. The staged/enabled register arrays need
+   no reset: [clock] samples every register before it commits any. *)
+let reset t =
+  Array.blit t.ints0 0 t.ints 0 (Array.length t.ints);
+  Array.blit t.wides0 0 t.wides 0 (Array.length t.wides)
 
 let set_input t name v =
   match List.find_opt (fun p -> p.port_name = name) t.m.inputs with

@@ -15,6 +15,13 @@ val narrow_limit : int
 val is_narrow : int -> bool
 
 val create : Netlist.t -> t
+
+(** Restore the signal arena to exactly the state [create] left it in:
+    inputs and combinational signals zero, constants and registers at
+    their initial values. A reset engine is indistinguishable from a
+    freshly created one, without redoing the sort and the compile. *)
+val reset : t -> unit
+
 val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit
 

@@ -13,6 +13,12 @@ type t = I of Sim.t | C of Compiled.t
     the default. *)
 val create : ?kind:kind -> Netlist.t -> t
 
+(** [reset t] returns [t] to the state [create] left it in, so one
+    engine can serve many independent runs of the same module. After a
+    reset every [signal_opt] equals that of a freshly created engine of
+    the same kind. *)
+val reset : t -> unit
+
 val kind : t -> kind
 val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit

@@ -20,17 +20,24 @@ type t = {
 
 let u w = Bitvec.unsigned_ty w
 
-let create (m : Netlist.t) =
-  let order = topo_nodes m in
-  let values = Hashtbl.create 64 in
-  (* inputs and registers start at zero / their reset value *)
+(* inputs and registers start at zero / their reset value; no
+   combinational signal has a value before the first [eval] *)
+let init_values m values =
+  Hashtbl.reset values;
   List.iter (fun p -> Hashtbl.replace values p.port_signal (Bitvec.zero (u p.port_width))) m.inputs;
   List.iter
     (fun (r : reg_node) ->
       Hashtbl.replace values r.out
         (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width)))
-    (registers m);
+    (registers m)
+
+let create (m : Netlist.t) =
+  let order = topo_nodes m in
+  let values = Hashtbl.create 64 in
+  init_values m values;
   { m; values; order }
+
+let reset t = init_values t.m t.values
 
 let set_input t name v =
   match List.find_opt (fun p -> p.port_name = name) t.m.inputs with

@@ -17,6 +17,10 @@ type t = {
 }
 val u : int -> Bitvec.ty
 val create : Netlist.t -> t
+
+(** Reinitialise the values exactly as [create] does. *)
+val reset : t -> unit
+
 val set_input : t -> string -> Bitvec.t -> unit
 val signal : t -> string -> Bitvec.t
 val eval : t -> unit

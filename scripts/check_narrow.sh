@@ -7,7 +7,12 @@
 #      the compile on any counterexample) and the pass sanitizer re-checks
 #      the IR after each pass;
 #   2. an RTL-in-the-loop cosimulation of an ISAX-exercising program
-#      prints the identical architectural trace with the knob off and on;
+#      prints the identical architectural trace with the knob off and on,
+#      and the same a0..a7 as the cycle-cost model (the reference
+#      interpreter) on that program; each program runs its ISAX
+#      instruction three times in a row on different operands, so a
+#      simulation engine reused with stale state between instructions
+#      shows up as a diff;
 #   3. for an ISAX the analysis provably narrows (sqrt_tightly), the
 #      emitted SystemVerilog actually differs between off and on — the
 #      knob is not a silent no-op.
@@ -54,23 +59,44 @@ cosim() {
         echo "error: --narrow=on changed the cosimulation trace of $isax on $core" >&2
         exit 1
     fi
+    "$CLI" run -c "$core" -n "$isax" --engine cost \
+        "$TMP/$isax.s" > "$TMP/$isax-$core-cost.txt"
+    grep -E '^ *a[0-9]+ =' "$TMP/$isax-$core-trace-on.txt" > "$TMP/$isax-$core-regs-rtl.txt"
+    grep -E '^ *a[0-9]+ =' "$TMP/$isax-$core-cost.txt" > "$TMP/$isax-$core-regs-cost.txt"
+    if ! diff -u "$TMP/$isax-$core-regs-cost.txt" "$TMP/$isax-$core-regs-rtl.txt"; then
+        echo "error: the RTL-in-the-loop run of $isax on $core disagrees with the cost model" >&2
+        exit 1
+    fi
     echo "narrow: $isax on $core cosimulates identically"
 }
 
 cosim sqrt_tightly vexriscv 'li a1, 16
+li a4, 1764
+li a5, 0x7FFFFFFF
 .isax SQRT rs1=a1, rd=a2
-add a3, a2, a2
+.isax SQRT rs1=a4, rd=a3
+.isax SQRT rs1=a5, rd=a6
+add a7, a2, a3
 ebreak'
 
 cosim chksum picorv32 'li a1, 0x01020304
 li a2, 0x50607080
+li a4, 0xFFFFFFFF
+li a5, 0x00000001
 .isax CHKSUM rs1=a1, rs2=a2, rd=a3
-add a4, a3, a3
+.isax CHKSUM rs1=a4, rs2=a5, rd=a6
+.isax CHKSUM rs1=a2, rs2=a4, rd=a7
+add a0, a3, a6
 ebreak'
 
 cosim dotprod vexriscv 'li a1, 0x01020304
 li a2, 0x05060708
+li a4, 0x7F80FF01
+li a5, 0x80017FFF
 .isax DOTP rs1=a1, rs2=a2, rd=a3
+.isax DOTP rs1=a4, rs2=a5, rd=a6
+.isax DOTP rs1=a5, rs2=a1, rd=a7
+add a0, a3, a6
 ebreak'
 
 echo "--narrow=on is translation-validated and trace-preserving"

@@ -301,7 +301,6 @@ let test_interp_branch () =
   Interp.write_reg st "PC" (bv 32 0x1000);
   exec_fields st tu "ADDI" [ ("imm", 5); ("rs1", 0); ("rd", 1) ];
   exec_fields st tu "ADDI" [ ("imm", 5); ("rs1", 0); ("rd", 2) ];
-  st.Interp.trace <- [];
   exec_fields st tu "BEQ" [ ("imm", 16); ("rs1", 1); ("rs2", 2) ];
   check_bool "branch taken" true (Bitvec.equal_value (Interp.read_reg st "PC") (bv 32 0x1010));
   exec_fields st tu "BNE" [ ("imm", 16); ("rs1", 1); ("rs2", 2) ];

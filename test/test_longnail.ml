@@ -300,6 +300,102 @@ let test_cosim_zol_always () =
   | Some (_, valid) -> check_bool "no redirect" false valid
   | None -> Alcotest.fail "pc write port must exist")
 
+(* ---- reusable cosimulation handles ---- *)
+
+(* every bundled ISAX on VexRiscv, with narrowing off and on *)
+let reuse_targets =
+  lazy
+    (List.concat_map
+       (fun narrow ->
+         List.map
+           (fun (e : Isax.Registry.entry) ->
+             let tu = Isax.Registry.compile e in
+             let request =
+               Longnail.Flow.Request.make ~knobs:(Longnail.Flow.knobs ~narrow ()) ()
+             in
+             (Printf.sprintf "%s narrow=%b" e.name narrow, tu,
+              Longnail.Flow.compile ~request Scaiev.Datasheet.vexriscv tu))
+           Isax.Registry.all)
+       [ false; true ])
+
+(* The [i]-th stimulus of a sequence drawn from [seed]. Every third one
+   is unary (no rs2) and the others binary, so a binary module sees both
+   a run after a run and a run after a failed one. Half the time END_PC
+   equals the pc, so ZOL's always-block redirects; memory answers every
+   address, so AI_LW's load response is a pending input. *)
+let reuse_stimulus tu (f : Longnail.Flow.compiled_functionality) seed i =
+  let r tag = Hashtbl.hash (seed, i, tag) in
+  let pc = if r "pc" mod 2 = 0 then 0x10A else r "pcv" in
+  let instr_word =
+    match Coredsl.Tast.find_tinstr tu f.cf_name with
+    | Some ti when f.cf_kind = `Instruction ->
+        Some
+          (Coredsl.Interp.encode ti
+             (List.map
+                (fun (fi : Coredsl.Tast.field_info) ->
+                  (fi.fld_name, Bitvec.of_int (Bitvec.unsigned_ty fi.fld_width) (r fi.fld_name)))
+                ti.fields))
+    | _ -> None
+  in
+  {
+    Longnail.Cosim.instr_word;
+    rs1 = Some (bv (r "rs1"));
+    rs2 = (if i mod 3 = 0 then None else Some (bv (r "rs2")));
+    pc = Some (bv pc);
+    custreg =
+      (fun reg idx ->
+        if reg = "END_PC" && r "end" mod 2 = 0 then bv pc
+        else bv (r (Printf.sprintf "%s[%d]" reg idx)));
+    mem_read =
+      (fun addr elems ->
+        Bitvec.of_int (Bitvec.unsigned_ty (8 * elems)) (Hashtbl.hash (seed, i, addr, elems)));
+  }
+
+let show_outcome = function
+  | Error m -> "Cosim_error " ^ m
+  | Ok (r : Longnail.Cosim.response) ->
+      let bv = Bitvec.to_hex_string in
+      let dv = function Some (d, v) -> Printf.sprintf "%s/%b" (bv d) v | None -> "-" in
+      Printf.sprintf "rd %s pc %s mem_w %s mem_r %s cust [%s] cycles %d" (dv r.rd_write)
+        (dv r.pc_write)
+        (match r.mem_write with
+        | Some (a, d, v) -> Printf.sprintf "%#x:%s/%b" a (bv d) v
+        | None -> "-")
+        (match r.mem_read_request with Some (a, v) -> Printf.sprintf "%#x/%b" a v | None -> "-")
+        (String.concat "; "
+           (List.map
+              (fun (w : Longnail.Cosim.custreg_write) ->
+                Printf.sprintf "%s[%s]=%s/%b" w.cw_reg
+                  (match w.cw_index with Some i -> string_of_int i | None -> "-")
+                  (bv w.cw_data) w.cw_valid)
+              r.custreg_writes))
+        r.cycles
+
+let outcome run = try Ok (run ()) with Longnail.Cosim.Cosim_error m -> Error m
+
+(* property: a handle reused through [exec] answers every stimulus of a
+   random sequence exactly as a freshly compiled module does *)
+let prop_reused_handle_equals_fresh =
+  QCheck.Test.make ~name:"reused cosim handle equals a fresh one" ~count:4
+    (QCheck.pair (QCheck.int_range 3 6) (QCheck.int_bound 1_000_000))
+    (fun (len, seed) ->
+      List.iter
+        (fun (target, tu, (c : Longnail.Flow.compiled)) ->
+          List.iter
+            (fun (f : Longnail.Flow.compiled_functionality) ->
+              let h = Longnail.Cosim.create f in
+              for i = 0 to len - 1 do
+                let stim = reuse_stimulus tu f seed i in
+                let reused = outcome (fun () -> Longnail.Cosim.exec h stim) in
+                let fresh = outcome (fun () -> Longnail.Cosim.run f stim) in
+                if reused <> fresh then
+                  QCheck.Test.fail_reportf "%s %s, stimulus %d:\n reused %s\n fresh  %s" target
+                    f.cf_name i (show_outcome reused) (show_outcome fresh)
+              done)
+            c.funcs)
+        (Lazy.force reuse_targets);
+      true)
+
 (* ---- ablations ---- *)
 
 let test_ablation_ilp_vs_asap () =
@@ -677,6 +773,7 @@ let () =
           Alcotest.test_case "zol always-block" `Quick test_cosim_zol_always;
           Alcotest.test_case "shift amount beyond int range" `Quick
             test_shift_amount_out_of_range;
+          QCheck_alcotest.to_alcotest prop_reused_handle_equals_fresh;
         ] );
       ( "negative",
         [

@@ -33,6 +33,19 @@ let test_asm_pseudo () =
   (* li with a large value expands to lui + addi *)
   check_int "four words" 4 (List.length words)
 
+(* lui + addi must compensate for addi sign-extending bit 11 *)
+let test_asm_li_values () =
+  List.iter
+    (fun v ->
+      let t = Riscv.Iss.create () in
+      let words = Riscv.Asm.assemble (Printf.sprintf "li a0, %d\nebreak" v) in
+      List.iteri (fun i w -> Riscv.Iss.write_word t (4 * i) w) words;
+      for _ = 2 to List.length words do
+        Riscv.Iss.step t
+      done;
+      check_int (Printf.sprintf "li %#x" v) (v land 0xFFFFFFFF) (Riscv.Iss.read_reg t 10))
+    [ 0xFFFFFFFF; 0x7FFFFFFF; 0x89ABCDEF; 0x7F80FF01; 0x800; 0xFFF; 100000; -2049; -5000 ]
+
 let test_asm_errors () =
   (try
      ignore (Riscv.Asm.assemble "frobnicate x1");
@@ -324,6 +337,107 @@ ebreak"
   check_int "sqrt(1764) = 42" 42 (Riscv.Rtl_loop.read_gpr rl 13);
   check_int "dependent add" 84 (Riscv.Rtl_loop.read_gpr rl 14)
 
+(* ---- the memoized instruction decoder ---- *)
+
+(* A loop applying one R-type custom instruction to operands in memory,
+   the shape of the sqrt/chksum verification programs. *)
+let operand_loop ~instr ~binary =
+  Printf.sprintf
+    "li a1, 0x2000\nli a5, 0x4000\nli a2, 8\nli a0, 0\nloop:\nlw a3, 0(a1)\nlw a6, 4(a1)\n\
+     .isax %s rd=a4, rs1=a3%s\nsw a4, 0(a5)\nadd a0, a0, a4\naddi a1, a1, %d\n\
+     addi a5, a5, 4\naddi a2, a2, -1\nbnez a2, loop\nebreak"
+    instr
+    (if binary then ", rs2=a6" else "")
+    (if binary then 8 else 4)
+
+let test_decode_memo_matches_scan () =
+  let scan (tu : Coredsl.Tast.tunit) w =
+    List.find_opt (fun ti -> Coredsl.Interp.matches ti w) tu.tinstrs
+  in
+  let name = Option.map (fun (ti : Coredsl.Tast.tinstr) -> ti.ti_name) in
+  let agree label tu st w =
+    (* twice: the first call fills the memo, the second reads it *)
+    for _ = 1 to 2 do
+      let got = name (Coredsl.Interp.decode st w) and want = name (scan tu w) in
+      if got <> want then
+        Alcotest.failf "%s: word %s decodes to %s, the scan finds %s" label
+          (Bitvec.to_hex_string w)
+          (Option.value ~default:"nothing" got)
+          (Option.value ~default:"nothing" want)
+    done
+  in
+  List.iter
+    (fun (isax, programs) ->
+      let tu = Isax.Registry.compile_by_name isax in
+      let st = Coredsl.Interp.create tu in
+      let enc = Riscv.Machine.isax_encoder tu in
+      List.iter
+        (fun prog -> List.iter (fun w -> agree isax tu st (bv w)) (Riscv.Asm.assemble ~custom:enc prog))
+        programs;
+      let rng = Random.State.make [| 14 |] in
+      for _ = 1 to 10_000 do
+        let w = ((Random.State.bits rng lsl 16) lxor Random.State.bits rng) land 0xFFFFFFFF in
+        agree (isax ^ " random") tu st (bv w)
+      done)
+    [
+      ("autoinc+zol", [ Riscv.Case_study.isax_program 8; Riscv.Case_study.baseline_program 8 ]);
+      ("sqrt_tightly", [ operand_loop ~instr:"SQRT" ~binary:false ]);
+      ("sqrt_decoupled", [ operand_loop ~instr:"SQRT_D" ~binary:false ]);
+      ("chksum", [ operand_loop ~instr:"CHKSUM" ~binary:true ]);
+    ]
+
+(* A program that executes ALZ_X at [site], then stores the ALZ_Y word
+   over it and jumps back: a decoder memoized by address would run ALZ_X
+   twice. Both executors must match a straight-line run of the two. *)
+let test_self_modifying_code () =
+  let tu = Isax.Registry.compile_by_name "sparkle" in
+  let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
+  let enc = Riscv.Machine.isax_encoder tu in
+  let setup = "li a1, 0x01234567\nli a2, 0x89ABCDEF\nli a0, 0\nli a6, 0\n" in
+  let site = 4 * List.length (Riscv.Asm.assemble setup) in
+  let alz_y = enc "ALZ_Y" [ ("rd", 14); ("rs1", 11); ("rs2", 12) ] in
+  let words =
+    Riscv.Asm.assemble ~custom:enc
+      (Printf.sprintf
+         "%ssite:\n.isax ALZ_X rd=a4, rs1=a1, rs2=a2\nadd a0, a0, a4\nbnez a6, done\n\
+          li a6, 1\nli a5, %d\nsw a5, %d(zero)\nj site\ndone:\nebreak"
+         setup alz_y site)
+  in
+  let straight =
+    Riscv.Asm.assemble ~custom:enc
+      (setup
+     ^ ".isax ALZ_X rd=a4, rs1=a1, rs2=a2\nadd a0, a0, a4\n\
+        .isax ALZ_Y rd=a4, rs1=a1, rs2=a2\nadd a0, a0, a4\nebreak")
+  in
+  let machine words =
+    let m = Riscv.Machine.of_compiled c in
+    Riscv.Machine.load_program m words;
+    ignore (Riscv.Machine.run m);
+    m
+  in
+  let expect = machine straight in
+  check_bool "ALZ_X and ALZ_Y differ here" true
+    (Riscv.Machine.read_gpr expect 10 <> 2 * Riscv.Machine.read_gpr expect 14);
+  let m = machine words in
+  let rl = Riscv.Rtl_loop.create c in
+  Riscv.Rtl_loop.load_program rl words;
+  ignore (Riscv.Rtl_loop.run rl);
+  List.iter
+    (fun r ->
+      check_int (Printf.sprintf "machine a%d" (r - 10)) (Riscv.Machine.read_gpr expect r)
+        (Riscv.Machine.read_gpr m r))
+    [ 10; 14 ];
+  List.iter
+    (fun r ->
+      check_int (Printf.sprintf "x%d: rtl-loop vs machine" r) (Riscv.Machine.read_gpr m r)
+        (Riscv.Rtl_loop.read_gpr rl r))
+    (List.init 32 Fun.id);
+  check_int "pc" (Riscv.Machine.read_pc m) (Riscv.Rtl_loop.read_pc rl);
+  check_int "instret" m.Riscv.Machine.instret rl.Riscv.Rtl_loop.instret;
+  check_int "patched word" alz_y (Riscv.Machine.load_word m site);
+  check_int "patched word (rtl-loop)" alz_y
+    (Bitvec.to_int (Coredsl.Interp.read_mem rl.Riscv.Rtl_loop.st "MEM" site 4))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_iss_matches_coredsl; prop_rv32m_matches_iss ]
 
@@ -335,6 +449,7 @@ let () =
           Alcotest.test_case "golden encodings" `Quick test_asm_encodings;
           Alcotest.test_case "labels and branches" `Quick test_asm_labels_and_branches;
           Alcotest.test_case "pseudo instructions" `Quick test_asm_pseudo;
+          Alcotest.test_case "li values" `Quick test_asm_li_values;
           Alcotest.test_case "errors" `Quick test_asm_errors;
         ] );
       ( "iss",
@@ -354,6 +469,8 @@ let () =
         [
           Alcotest.test_case "case study program" `Slow test_rtl_in_the_loop_case_study;
           Alcotest.test_case "sqrt program" `Quick test_rtl_in_the_loop_sqrt;
+          Alcotest.test_case "self-modifying code" `Quick test_self_modifying_code;
         ] );
+      ("decode", [ Alcotest.test_case "memo matches the scan" `Quick test_decode_memo_matches_scan ]);
       ("properties", qcheck_cases);
     ]

@@ -434,6 +434,103 @@ let prop_engines_agree =
       let trace kind = Vcd.trace ~engine:kind m ~cycles:6 ~drive in
       Vcd.traces_equal (trace Engine.Interp) (trace Engine.Compiled))
 
+(* A handwritten module for the reset property: registers with and
+   without init values and enables, a ROM, and a datapath wider than the
+   compiled engine's native-int limit. *)
+let reset_module =
+  let module Bn = Bitvec.Bn in
+  let w = 70 in
+  {
+    Netlist.mod_name = "resettable";
+    inputs =
+      [
+        { Netlist.port_name = "a"; port_width = 8; port_signal = "a" };
+        { port_name = "b"; port_width = w; port_signal = "b" };
+        { port_name = "en"; port_width = 1; port_signal = "en" };
+      ];
+    outputs =
+      [
+        { port_name = "q8"; port_width = 8; port_signal = "r8" };
+        { port_name = "qw"; port_width = w; port_signal = "rw" };
+      ];
+    nodes =
+      [
+        const "k8" 8 0x5A;
+        Netlist.Comb
+          {
+            out = "kw";
+            width = w;
+            op = "hw.constant";
+            attrs = [ ("value", Ir.Mir.A_bv (Bitvec.of_bn (u w) (Bn.add (Bn.pow2 66) (Bn.of_int 7)))) ];
+            inputs = [];
+          };
+        Netlist.Comb { out = "s8"; width = 8; op = "comb.add"; attrs = []; inputs = [ "a"; "r8" ] };
+        Netlist.Comb { out = "x8"; width = 8; op = "comb.xor"; attrs = []; inputs = [ "s8"; "k8" ] };
+        Netlist.Comb { out = "sw"; width = w; op = "comb.add"; attrs = []; inputs = [ "rw"; "b" ] };
+        Netlist.Comb { out = "xw"; width = w; op = "comb.xor"; attrs = []; inputs = [ "sw"; "kw" ] };
+        Netlist.Rom { out = "o"; width = 8; table = [| bv 8 10; bv 8 20; bv 8 30; bv 8 40 |]; index = "c" };
+        Netlist.Reg { out = "r8"; width = 8; next = "x8"; enable = Some "en"; init = Some (bv 8 0x33) };
+        Netlist.Reg
+          {
+            out = "rw";
+            width = w;
+            next = "xw";
+            enable = None;
+            init = Some (Bitvec.of_bn (u w) (Bn.add (Bn.pow2 65) (Bn.of_int 3)));
+          };
+        Netlist.Reg { out = "c"; width = 2; next = "cn"; enable = None; init = None };
+        Netlist.Comb { out = "cn"; width = 2; op = "comb.add"; attrs = []; inputs = [ "c"; "one2" ] };
+        const "one2" 2 1;
+      ];
+  }
+
+(* property: after random cycles, [Engine.reset] leaves every signal
+   exactly as a freshly created engine of the same kind has it, and the
+   reset engine then computes what the fresh one computes *)
+let prop_engine_reset =
+  QCheck.Test.make ~name:"engine reset equals a fresh engine" ~count:100
+    (QCheck.pair (QCheck.int_bound 12) (QCheck.int_bound 1_000_000))
+    (fun (cycles, seed) ->
+      let m = reset_module in
+      Netlist.validate m;
+      let signals =
+        List.map (fun (p : Netlist.port) -> p.port_signal) m.inputs @ List.map Netlist.node_out m.nodes
+      in
+      let drive cycle =
+        [
+          ("a", bv 8 (Hashtbl.hash (seed, cycle, "a")));
+          ("b", Bitvec.of_int (u 70) (Hashtbl.hash (seed, cycle, "b")));
+          ("en", bv 1 (Hashtbl.hash (seed, cycle, "en")));
+        ]
+      in
+      let show = function Some v -> Bitvec.to_hex_string v | None -> "none" in
+      let same kname step used fresh =
+        List.iter
+          (fun name ->
+            let a = Engine.signal_opt used name and b = Engine.signal_opt fresh name in
+            if show a <> show b then
+              QCheck.Test.fail_reportf "%s engine, %s: signal %s is %s, fresh engine has %s" kname
+                step name (show a) (show b))
+          signals
+      in
+      List.for_all
+        (fun (kname, kind) ->
+          let used = Engine.create ~kind m in
+          for c = 0 to cycles do
+            Engine.cycle used (drive c)
+          done;
+          Engine.eval used;
+          Engine.reset used;
+          let fresh = Engine.create ~kind m in
+          same kname "after reset" used fresh;
+          Engine.cycle used (drive 0);
+          Engine.cycle fresh (drive 0);
+          Engine.eval used;
+          Engine.eval fresh;
+          same kname "one cycle later" used fresh;
+          true)
+        engines)
+
 (* property: the simulator agrees with direct Comb_eval on random two-input
    expressions *)
 let prop_sim_matches_comb_eval =
@@ -542,7 +639,12 @@ let prop_compiled_matches_comb_eval =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_sim_matches_comb_eval; prop_engines_agree; prop_compiled_matches_comb_eval ]
+    [
+      prop_sim_matches_comb_eval;
+      prop_engines_agree;
+      prop_compiled_matches_comb_eval;
+      prop_engine_reset;
+    ]
 
 let () =
   Alcotest.run "rtl"
