@@ -123,12 +123,20 @@ let table4 () =
   Printf.printf "\n%-22s" "ISAX";
   List.iter (fun _ -> Printf.printf "| %-10s %-10s " "area" "freq") paper_cores;
   Printf.printf "\n%s\n" (String.make 118 '-');
+  (* [paper] is [None] for an ISAX the paper does not list: its paper
+     cells read n/a *)
   let row label results paper =
     Printf.printf "%-22s" label;
     List.iteri
       (fun i (r : Asic.Flow.result) ->
-        let pa, pf = List.nth paper i in
-        Printf.printf "| +%3.0f%%(+%3d) %+3.0f%%(%+3d) " r.area_overhead_pct pa r.freq_delta_pct pf)
+        match paper with
+        | Some paper ->
+            let pa, pf = List.nth paper i in
+            Printf.printf "| +%3.0f%%(+%3d) %+3.0f%%(%+3d) " r.area_overhead_pct pa
+              r.freq_delta_pct pf
+        | None ->
+            Printf.printf "| +%3.0f%%(%4s) %+3.0f%%(%3s) " r.area_overhead_pct "n/a"
+              r.freq_delta_pct "n/a")
       results;
     print_newline ()
   in
@@ -140,7 +148,7 @@ let table4 () =
           (fun core -> Asic.Flow.run ~isax_name:e.name (Longnail.Flow.compile ~request:(mkrequest ()) core tu))
           paper_cores
       in
-      row e.name results (List.assoc e.name paper_table4);
+      row e.name results (List.assoc_opt e.name paper_table4);
       if e.name = "sqrt_decoupled" then begin
         (* the Table 4 sub-row: decoupled without data-hazard handling *)
         let results =
@@ -150,7 +158,8 @@ let table4 () =
                 (Longnail.Flow.compile ~request:(mkrequest ~hazard_handling:false ()) core tu))
             paper_cores
         in
-        row "  w/o hazard handling" results (List.assoc "  w/o hazard handling" paper_table4)
+        row "  w/o hazard handling" results
+          (List.assoc_opt "  w/o hazard handling" paper_table4)
       end)
     Isax.Registry.all;
   print_endline "\n(each cell: measured(paper); paper values from Table 4 of the ASPLOS'24 paper)"

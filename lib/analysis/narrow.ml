@@ -185,7 +185,6 @@ let narrow_graph ?obs ?verify_each (g : graph) : graph * stats =
   let sanitize name g = match verify_each with Some f -> f ~pass_name:name g | None -> () in
   (* each pass re-analyzes: rewrites invalidate earlier facts *)
   let step name f g =
-    let changed = ref false in
     let pass =
       {
         Ir.Passes.pass_name = name;
@@ -193,12 +192,11 @@ let narrow_graph ?obs ?verify_each (g : graph) : graph * stats =
           (fun g ->
             let facts = Absint.analyze g in
             let g', did = f facts g in
-            changed := did;
-            if did then g' else g);
+            ((if did then g' else g), did));
       }
     in
-    let g', _stat = Ir.Passes.run_pass ?obs pass g in
-    if !changed then begin
+    let g', stat = Ir.Passes.run_pass ?obs pass g in
+    if stat.Ir.Passes.ps_changed then begin
       stats := validated ~pass_name:name ~original:g ~optimized:g' !stats;
       sanitize name g'
     end;

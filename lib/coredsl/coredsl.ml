@@ -10,7 +10,9 @@
    [compile] parses [source] (resolving imports through the built-in base
    ISA provider plus an optional user provider), elaborates the requested
    Core or InstructionSet, and type-checks every instruction, always-block
-   and function. *)
+   and function. The bundled base ISA sources are parsed once per process
+   and the parse is shared by every later import of them (see
+   [parse_source] in elaborate.ml). *)
 
 module Ast = Ast
 module Lexer = Lexer

@@ -138,6 +138,28 @@ let find_function el name = List.find_opt (fun f -> f.fname = name) el.functions
 type provider = string -> string option
 (** maps an import path to CoreDSL source text *)
 
+(* Parsed bundled base ISAs, keyed by import path: the path is part of
+   every location in the AST. Every ISAX imports RV32I, so without this
+   each compile re-parses its 8 KB source. Only a path the built-in
+   provider resolves, served with exactly the bundled text, is admitted;
+   a user provider serving other text under that path is parsed as usual.
+   The bundled sources parse without errors; a parse that raises stores
+   nothing. The lock makes the memo safe to share between domains. *)
+let bundled_descs : (string, Ast.desc) Hashtbl.t = Hashtbl.create 4
+let bundled_lock = Mutex.create ()
+
+let parse_source ?diags ~file src =
+  match Base_isa.provider file with
+  | Some text when String.equal text src ->
+      Mutex.protect bundled_lock (fun () ->
+          match Hashtbl.find_opt bundled_descs file with
+          | Some desc -> desc
+          | None ->
+              let desc = Parser.parse ~file src in
+              Hashtbl.replace bundled_descs file desc;
+              desc)
+  | _ -> Parser.parse ?diags ~file src
+
 (* Parse [src] and all transitive imports; return every InstructionSet and
    Core seen, later definitions shadowing earlier ones by name. *)
 let load ?diags ~(provider : provider) ~file src =
@@ -148,7 +170,7 @@ let load ?diags ~(provider : provider) ~file src =
      first; it becomes the provenance labels of unresolved-import errors *)
   let rec go chain file src =
     Diag.register_source ~file src;
-    let desc = Parser.parse ?diags ~file src in
+    let desc = parse_source ?diags ~file src in
     List.iter
       (fun (path, iloc) ->
         if not (Hashtbl.mem seen_imports path) then begin

@@ -25,7 +25,7 @@ let is_interface_read op =
 
 (* ---- constant folding ---- *)
 
-let fold_constants (g : graph) : graph =
+let fold_constants (g : graph) : graph * bool =
   let const_of : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 32 in
   let subst = Hashtbl.create 16 in
   let changed = ref false in
@@ -73,11 +73,11 @@ let fold_constants (g : graph) : graph =
       g.body
   in
   let g = { g with body } in
-  if Hashtbl.length subst > 0 then rewrite g ~subst ~keep:(fun _ -> true) else g
+  ((if Hashtbl.length subst > 0 then rewrite g ~subst ~keep:(fun _ -> true) else g), !changed)
 
 (* ---- common-subexpression elimination ---- *)
 
-let cse (g : graph) : graph =
+let cse (g : graph) : graph * bool =
   let table : (string, value list) Hashtbl.t = Hashtbl.create 32 in
   let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let canon v = match Hashtbl.find_opt subst v.vid with Some v' -> v' | None -> v in
@@ -116,54 +116,68 @@ let cse (g : graph) : graph =
         end)
       g.body
   in
-  rewrite { g with body } ~subst ~keep:(fun _ -> true)
+  (* nothing merged: [body] is [g.body] *)
+  if Hashtbl.length subst = 0 then ({ g with body }, false)
+  else (rewrite { g with body } ~subst ~keep:(fun _ -> true), true)
 
 (* ---- dead-code elimination ---- *)
 
-let dce (g : graph) : graph =
-  let changed = ref true in
-  let g = ref g in
-  while !changed do
-    changed := false;
-    let uses = use_map !g in
-    let body =
-      List.filter
-        (fun op ->
-          if has_side_effect op || is_interface_read op then true
-          else begin
-            let live =
-              List.exists
-                (fun r ->
-                  match Hashtbl.find_opt uses r.vid with
-                  | Some (_ :: _) -> true
-                  | _ -> false)
-                op.results
-            in
-            if not live then changed := true;
-            live
-          end)
-        (!g).body
-    in
-    g := { !g with body }
-  done;
-  !g
+(* One reverse sweep over the SSA-ordered body: by the time an op is
+   reached, every op that could read its results has been decided, so an
+   op is live iff it has a side effect, is an interface read, or one of
+   its results is read by a live op. A live region op keeps every value
+   its nested ops read; a nested op reading its own parent's result keeps
+   the parent, as a use-count fixpoint would. *)
+let dce (g : graph) : graph * bool =
+  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let mark v = Hashtbl.replace live v.vid () in
+  let removed = ref false in
+  let body =
+    List.fold_left
+      (fun kept op ->
+        let nested = List.concat_map all_ops_in op.regions in
+        let reads_own_result (o : op) =
+          List.exists (fun v -> List.exists (fun r -> r.vid = v.vid) op.results) o.operands
+        in
+        if
+          has_side_effect op || is_interface_read op
+          || List.exists (fun r -> Hashtbl.mem live r.vid) op.results
+          || List.exists reads_own_result nested
+        then begin
+          List.iter mark op.operands;
+          List.iter (fun (o : op) -> List.iter mark o.operands) nested;
+          op :: kept
+        end
+        else begin
+          removed := true;
+          kept
+        end)
+      [] (List.rev g.body)
+  in
+  ({ g with body }, !removed)
 
 (* Also drop interface *reads* that are completely unused (e.g. a register
    read whose value was optimized away). Writes are always kept. *)
-let dce_interface_reads (g : graph) : graph =
+let dce_interface_reads (g : graph) : graph * bool =
   let uses = use_map g in
+  let removed = ref false in
   let body =
     List.filter
       (fun op ->
         if not (is_interface_read op) then true
-        else
-          List.exists
-            (fun r ->
-              match Hashtbl.find_opt uses r.vid with Some (_ :: _) -> true | _ -> false)
-            op.results)
+        else begin
+          let used =
+            List.exists
+              (fun r ->
+                match Hashtbl.find_opt uses r.vid with Some (_ :: _) -> true | _ -> false)
+              op.results
+          in
+          if not used then removed := true;
+          used
+        end)
       g.body
   in
-  { g with body }
+  ({ g with body }, !removed)
 
 (* ---- constant-shift lowering ---- *)
 
@@ -171,7 +185,7 @@ let dce_interface_reads (g : graph) : graph =
    rewrite it to extract/concat/replicate so that neither the scheduler
    nor the timing analysis charges barrel-shifter delay or area for it.
    (Rotations expressed as shl|shru, as in the sparkle ISAX, become free.) *)
-let lower_constant_shifts (g : graph) : graph =
+let lower_constant_shifts (g : graph) : graph * bool =
   let const_of : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun op ->
@@ -189,6 +203,7 @@ let lower_constant_shifts (g : graph) : graph =
   (* keep existing value ids stable by tracking a substitution for results *)
   let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let s v = match Hashtbl.find_opt subst v.vid with Some v' -> v' | None -> v in
+  let lowered = ref false in
   let u w = Bitvec.unsigned_ty w in
   let rewrite_shift op kind x k =
     (* replacement wiring inherits the span of the shift it stands in for *)
@@ -236,7 +251,8 @@ let lower_constant_shifts (g : graph) : graph =
             add_op1 b "comb.concat" [ rep; kept ] (u w)
       end
     in
-    Hashtbl.replace subst r.vid replacement
+    Hashtbl.replace subst r.vid replacement;
+    lowered := true
   in
   List.iter
     (fun op ->
@@ -261,7 +277,7 @@ let lower_constant_shifts (g : graph) : graph =
     g.body;
   (* fresh value ids from the builder may collide with existing ones; remap
      everything through a final rewrite that only applies the subst *)
-  { g with body = List.rev b.ops }
+  ({ g with body = List.rev b.ops }, !lowered)
 
 (* ---- instrumented pass manager ---- *)
 
@@ -271,7 +287,7 @@ let lower_constant_shifts (g : graph) : graph =
    reports its rounds-to-convergence. This is the measurement substrate
    for all later compile-time work (caching, parallel compile, sharing). *)
 
-type pass = { pass_name : string; pass_fn : graph -> graph }
+type pass = { pass_name : string; pass_fn : graph -> graph * bool }
 
 let all_passes : pass list =
   [
@@ -295,6 +311,7 @@ type pass_stat = {
   ps_ops_after : int;
   ps_edges_before : int;
   ps_edges_after : int;
+  ps_changed : bool;
 }
 
 (* Run one pass, recording a "pass:NAME" child span with before/after
@@ -302,7 +319,7 @@ type pass_stat = {
 let run_pass ?obs (p : pass) (g : graph) : graph * pass_stat =
   Obs.span_opt obs ("pass:" ^ p.pass_name) (fun obs ->
       let ops_before = op_count g and edges_before = edge_count g in
-      let g' = p.pass_fn g in
+      let g', changed = p.pass_fn g in
       let st =
         {
           ps_pass = p.pass_name;
@@ -310,6 +327,7 @@ let run_pass ?obs (p : pass) (g : graph) : graph * pass_stat =
           ps_ops_after = op_count g';
           ps_edges_before = edges_before;
           ps_edges_after = edge_count g';
+          ps_changed = changed;
         }
       in
       Obs.metric_int_opt obs "ops_before" st.ps_ops_before;
@@ -317,13 +335,6 @@ let run_pass ?obs (p : pass) (g : graph) : graph * pass_stat =
       Obs.metric_int_opt obs "edges_before" st.ps_edges_before;
       Obs.metric_int_opt obs "edges_after" st.ps_edges_after;
       (g', st))
-
-(* Cheap convergence check for the fixpoint driver: identical op count,
-   edge count and printed form. Graphs here are tens to a few hundred ops,
-   so the string compare is negligible next to the passes themselves. *)
-let graphs_equal a b =
-  op_count a = op_count b && edge_count a = edge_count b
-  && graph_to_string a = graph_to_string b
 
 (* Standard pipeline: fold + lower shifts once, then fold/cse to fixpoint
    (bounded by [fold_rounds]), then strip dead logic. With [obs] set, every
@@ -333,21 +344,24 @@ let graphs_equal a b =
 let optimize_with_stats ?obs ?verify_each ?(fold_rounds = 4) (g : graph) :
     graph * pass_stat list =
   let stats = ref [] in
-  let run name g =
+  let run_changed name g =
     let g', st = run_pass ?obs (find_pass name) g in
     stats := st :: !stats;
     (match verify_each with Some f -> f ~pass_name:name g' | None -> ());
-    g'
+    (g', st.ps_changed)
   in
+  let run name g = fst (run_changed name g) in
   let g = run "fold_constants" g in
   let g = run "lower_constant_shifts" g in
   let g = ref g and rounds = ref 0 and converged = ref false in
   while (not !converged) && !rounds < fold_rounds do
     incr rounds;
-    let before = !g in
-    g := run "fold_constants" !g;
-    g := run "cse" !g;
-    if graphs_equal before !g then converged := true
+    let g1, folded = run_changed "fold_constants" !g in
+    let g2, merged = run_changed "cse" g1 in
+    g := g2;
+    (* fold and cse only ever remove or rename ops, so "neither rewrote
+       anything" is exactly "the round left the graph unchanged" *)
+    if not (folded || merged) then converged := true
   done;
   g := run "dce" !g;
   g := run "dce_interface_reads" !g;

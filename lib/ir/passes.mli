@@ -6,15 +6,22 @@
 
 val has_side_effect : Mir.op -> bool
 val is_interface_read : Mir.op -> bool
-val fold_constants : Mir.graph -> Mir.graph
-val cse : Mir.graph -> Mir.graph
-val dce : Mir.graph -> Mir.graph
-val dce_interface_reads : Mir.graph -> Mir.graph
-val lower_constant_shifts : Mir.graph -> Mir.graph
+
+(** Each pass returns the rewritten graph and whether it rewrote
+    anything. *)
+
+val fold_constants : Mir.graph -> Mir.graph * bool
+val cse : Mir.graph -> Mir.graph * bool
+
+val dce : Mir.graph -> Mir.graph * bool
+(** One reverse sweep over the SSA-ordered body. *)
+
+val dce_interface_reads : Mir.graph -> Mir.graph * bool
+val lower_constant_shifts : Mir.graph -> Mir.graph * bool
 
 (** {2 Instrumented pass manager} *)
 
-type pass = { pass_name : string; pass_fn : Mir.graph -> Mir.graph }
+type pass = { pass_name : string; pass_fn : Mir.graph -> Mir.graph * bool }
 
 val all_passes : pass list
 (** Every registered optimization pass, in canonical order. *)
@@ -35,6 +42,7 @@ type pass_stat = {
   ps_ops_after : int;
   ps_edges_before : int;
   ps_edges_after : int;
+  ps_changed : bool;  (** the pass rewrote anything *)
 }
 
 val run_pass : ?obs:Obs.scope -> pass -> Mir.graph -> Mir.graph * pass_stat

@@ -429,9 +429,12 @@ let build_func_hw session (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) 
         Obs.metric_str_opt sobs "scheduler" (scheduler_name scheduler);
         Obs.metric_int_opt sobs "sched_ops" (Array.length p.Sched.Problem.operations);
         Obs.metric_int_opt sobs "sched_deps" (List.length p.Sched.Problem.dependences);
-        let vars, constraints = Sched.Ilp_scheduler.ilp_size p in
-        Obs.metric_int_opt sobs "ilp_vars" vars;
-        Obs.metric_int_opt sobs "ilp_constraints" constraints;
+        (match sobs with
+        | Some s ->
+            let vars, constraints = Sched.Ilp_scheduler.ilp_size p in
+            Obs.metric_int s "ilp_vars" vars;
+            Obs.metric_int s "ilp_constraints" constraints
+        | None -> ());
         let rounds = ref 0 in
         let feasible = Sched_build.schedule ~scheduler ~rounds built in
         if scheduler = Sched_build.Ilp then begin

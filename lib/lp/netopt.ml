@@ -32,19 +32,26 @@ exception Unbounded
 module Maxflow = struct
   type arc = { dst : int; mutable cap : int; mutable flow : int; rev : int }
 
-  type t = { n : int; adj : arc array array; mutable adj_build : arc list array }
+  (* While building, [rev_arcs.(u)] holds u's arcs newest first and
+     [deg.(u)] counts them, so adding an arc is O(1) and a graph of m arcs
+     is built in O(n + m). [freeze] lays each list out oldest first. *)
+  type t = { n : int; adj : arc array array; rev_arcs : arc list array; deg : int array }
 
   let inf = max_int / 4
 
-  let create n = { n; adj = [||]; adj_build = Array.make n [] }
+  let create n = { n; adj = [||]; rev_arcs = Array.make n []; deg = Array.make n 0 }
 
+  (* the arc u->v and its residual twin v->u; each [rev] is the twin's
+     index in the other endpoint's arc array *)
   let add_edge g u v cap =
-    let a = { dst = v; cap; flow = 0; rev = List.length g.adj_build.(v) } in
-    let b = { dst = u; cap = 0; flow = 0; rev = List.length g.adj_build.(u) } in
-    g.adj_build.(u) <- g.adj_build.(u) @ [ a ];
-    g.adj_build.(v) <- g.adj_build.(v) @ [ b ]
+    let a = { dst = v; cap; flow = 0; rev = g.deg.(v) } in
+    let b = { dst = u; cap = 0; flow = 0; rev = g.deg.(u) } in
+    g.rev_arcs.(u) <- a :: g.rev_arcs.(u);
+    g.deg.(u) <- g.deg.(u) + 1;
+    g.rev_arcs.(v) <- b :: g.rev_arcs.(v);
+    g.deg.(v) <- g.deg.(v) + 1
 
-  let freeze g = { g with adj = Array.map Array.of_list g.adj_build }
+  let freeze g = { g with adj = Array.map (fun l -> Array.of_list (List.rev l)) g.rev_arcs }
 
   let max_flow g s t =
     let adj = g.adj in

@@ -33,16 +33,22 @@ module Maxflow :
       mutable flow : int;
       rev : int;
     }
-    type t = {
-      n : int;
-      adj : arc array array;
-      mutable adj_build : arc list array;
-    }
+    type t
     val inf : int
     val create : int -> t
+    (** An empty graph on nodes [0 .. n-1]. *)
+
     val add_edge : t -> int -> int -> int -> unit
+    (** [add_edge g u v cap] adds the arc u->v with capacity [cap] and its
+        zero-capacity residual twin, in O(1). *)
+
     val freeze : t -> t
+    (** The graph ready for {!max_flow}: every node's arcs in insertion
+        order. O(n + m) for m arcs. *)
+
     val max_flow : t -> int -> int -> int * int array
+    (** Dinic: the maximum s-t flow value and the BFS levels of the last
+        phase, where [level >= 0] marks the source side of a minimum cut. *)
   end
 val asap :
   ?rounds:int ref ->

@@ -31,12 +31,18 @@ type operation = {
 
 type dependence = { dep_src : int; dep_dst : int }
 
+(* Facts derived from the immutable part of a problem, computed on first
+   use: one schedule checks the input, builds the precedence edges and
+   fills the in-cycle start times, and all of them need these. *)
+type memo = { mutable order : int list option; mutable breakers : dependence list option }
+
 type t = {
   operations : operation array;
   dependences : dependence list;
   cycle_time : float option;  (* chaining: target clock period in ns *)
   mutable start_time : int array;  (* solution *)
   mutable start_time_in_cycle : float array;  (* chaining solution *)
+  memo : memo;
 }
 
 exception Problem_error of string
@@ -45,13 +51,18 @@ let problem_error fmt = Format.kasprintf (fun m -> raise (Problem_error m)) fmt
 
 (* ---- construction ---- *)
 
-type builder = { mutable ops_rev : operation list; mutable deps : dependence list }
+type builder = {
+  mutable ops_rev : operation list;
+  mutable n_ops : int;
+  mutable deps : dependence list;
+}
 
-let builder () = { ops_rev = []; deps = [] }
+let builder () = { ops_rev = []; n_ops = 0; deps = [] }
 
 let add_operation b ~label lot =
-  let idx = List.length b.ops_rev in
+  let idx = b.n_ops in
   b.ops_rev <- { op_index = idx; lot; op_label = label } :: b.ops_rev;
+  b.n_ops <- idx + 1;
   idx
 
 let add_dependence b ~src ~dst = b.deps <- { dep_src = src; dep_dst = dst } :: b.deps
@@ -64,10 +75,11 @@ let finish ?cycle_time b =
     cycle_time;
     start_time = Array.make (Array.length operations) (-1);
     start_time_in_cycle = Array.make (Array.length operations) 0.0;
+    memo = { order = None; breakers = None };
   }
 
 (* topological order; raises on cycles *)
-let topo_order p =
+let compute_topo_order p =
   let n = Array.length p.operations in
   let indeg = Array.make n 0 in
   List.iter (fun d -> indeg.(d.dep_dst) <- indeg.(d.dep_dst) + 1) p.dependences;
@@ -88,6 +100,14 @@ let topo_order p =
   done;
   if !seen <> n then problem_error "dependence graph is cyclic";
   List.rev !order
+
+let topo_order p =
+  match p.memo.order with
+  | Some order -> order
+  | None ->
+      let order = compute_topo_order p in
+      p.memo.order <- Some order;
+      order
 
 (* ---- input constraints (validity of the instance) ---- *)
 
@@ -188,7 +208,7 @@ let total_lifetime p =
    push the accumulated delay past the cycle time becomes a chain breaker
    (its endpoints must be separated by at least one time step), and the
    accumulation restarts at the head. Mirrors CIRCT's ChainingSupport. *)
-let chain_breakers p =
+let compute_chain_breakers p =
   match p.cycle_time with
   | None -> []
   | Some ct ->
@@ -217,6 +237,14 @@ let chain_breakers p =
           acc.(j) <- !arrive +. my_delay)
         order;
       List.rev !breakers
+
+let chain_breakers p =
+  match p.memo.breakers with
+  | Some breakers -> breakers
+  | None ->
+      let breakers = compute_chain_breakers p in
+      p.memo.breakers <- Some breakers;
+      breakers
 
 (* Fill start_time_in_cycle from start_time: ASAP within each cycle along
    zero-latency chains (the utility function mentioned in Section 4.3). *)

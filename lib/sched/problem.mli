@@ -25,17 +25,22 @@ val operator_type :
   ?earliest:int -> ?latest:int -> string -> operator_type
 type operation = { op_index : int; lot : operator_type; op_label : string; }
 type dependence = { dep_src : int; dep_dst : int; }
+type memo
 type t = {
   operations : operation array;
   dependences : dependence list;
   cycle_time : float option;
   mutable start_time : int array;
   mutable start_time_in_cycle : float array;
+  memo : memo;
+      (** the topological order and chain breakers, computed on first use
+          and shared by every later call on this problem *)
 }
 exception Problem_error of string
 val problem_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 type builder = {
   mutable ops_rev : operation list;
+  mutable n_ops : int;
   mutable deps : dependence list;
 }
 val builder : unit -> builder

@@ -270,7 +270,206 @@ let prop_optimize_preserves_semantics =
       | Some x, Some y -> Bitvec.equal_value x y
       | _ -> false)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_optimize_preserves_semantics ]
+(* ---- the passes against the drivers they replaced ---- *)
+
+(* Reference DCE: drop unused pure ops, rebuilding the use map until
+   nothing changes. *)
+let dce_fixpoint (g : Mir.graph) : Mir.graph =
+  let changed = ref true and g = ref g in
+  while !changed do
+    changed := false;
+    let uses = Mir.use_map !g in
+    let body =
+      List.filter
+        (fun (op : Mir.op) ->
+          Passes.has_side_effect op || Passes.is_interface_read op
+          ||
+          let live =
+            List.exists
+              (fun (r : Mir.value) ->
+                match Hashtbl.find_opt uses r.Mir.vid with Some (_ :: _) -> true | _ -> false)
+              op.results
+          in
+          if not live then changed := true;
+          live)
+        !g.Mir.body
+    in
+    g := { !g with body }
+  done;
+  !g
+
+(* Reference pipeline: the fold/cse fixpoint is detected by printing the
+   graph before and after each round, and DCE is [dce_fixpoint]. *)
+let optimize_reference ?(fold_rounds = 4) g =
+  let stats = ref [] in
+  let run name g =
+    let pass =
+      if name = "dce" then { Passes.pass_name = "dce"; pass_fn = (fun g -> (dce_fixpoint g, false)) }
+      else Passes.find_pass name
+    in
+    let g', st = Passes.run_pass pass g in
+    stats := st :: !stats;
+    g'
+  in
+  let g = run "fold_constants" g in
+  let g = run "lower_constant_shifts" g in
+  let g = ref g and rounds = ref 0 and converged = ref false in
+  while (not !converged) && !rounds < fold_rounds do
+    incr rounds;
+    let before = Mir.graph_to_string !g in
+    g := run "fold_constants" !g;
+    g := run "cse" !g;
+    if Mir.graph_to_string !g = before then converged := true
+  done;
+  g := run "dce" !g;
+  g := run "dce_interface_reads" !g;
+  g := run "dce" !g;
+  (!g, List.rev !stats)
+
+(* the pass trace without the changed flag, which the reference's DCE
+   does not report *)
+let trace stats =
+  List.map
+    (fun (st : Passes.pass_stat) ->
+      Printf.sprintf "%s %d->%d %d->%d" st.ps_pass st.ps_ops_before st.ps_ops_after
+        st.ps_edges_before st.ps_edges_after)
+    stats
+
+let same_as_reference ?fold_rounds what g =
+  let g1, s1 = Passes.optimize_with_stats ?fold_rounds g in
+  let g2, s2 = optimize_reference ?fold_rounds g in
+  Alcotest.(check string) (what ^ ": graph") (Mir.graph_to_string g2) (Mir.graph_to_string g1);
+  Alcotest.(check (list string)) (what ^ ": passes") (trace s2) (trace s1)
+
+let test_optimize_matches_reference_bundled () =
+  List.iter
+    (fun (e : Isax.Registry.entry) ->
+      let tu = Isax.Registry.compile e in
+      List.iter
+        (fun (ti : Coredsl.Tast.tinstr) ->
+          if Longnail.Flow.is_isax_instruction ti then
+            same_as_reference (e.name ^ "/" ^ ti.ti_name)
+              (Lil.of_hlir tu.elab ~fields:ti.fields (Hlir.lower_instruction tu ti)))
+        tu.tinstrs;
+      List.iter
+        (fun (ta : Coredsl.Tast.talways) ->
+          same_as_reference (e.name ^ "/" ^ ta.ta_name)
+            (Lil.of_hlir tu.elab ~fields:[] (Hlir.lower_always tu ta)))
+        tu.talways)
+    Isax.Registry.all
+
+(* A mux with a constant condition is replaced by its kept operand only
+   when the fold pass ends, so an add of that operand and a constant
+   folds one round later, and cse has nothing to merge in that round:
+   the fixpoint needs a second round to see that nothing changes. *)
+let test_fold_only_round () =
+  let b = Mir.builder () in
+  let u w = Bitvec.unsigned_ty w in
+  let const w v = Mir.add_op1 b "hw.constant" [] (u w) ~attrs:[ ("value", Mir.A_bv (Bitvec.of_int (u w) v)) ] in
+  let x = Mir.add_op1 b "lil.read_rs1" [] (u 8) in
+  let m = Mir.add_op1 b "comb.mux" [ const 1 1; const 8 5; x ] (u 8) in
+  let s = Mir.add_op1 b "comb.add" [ m; const 8 3 ] (u 8) in
+  ignore (Mir.add_op b "lil.write_rd" [ s ] []);
+  let g = Mir.finish b ~name:"fold_only" ~kind:`Instruction () in
+  same_as_reference "fold-only round" g;
+  let _, stats = Passes.optimize_with_stats g in
+  let folds = List.filter (fun (st : Passes.pass_stat) -> st.ps_pass = "fold_constants") stats in
+  Alcotest.(check (list bool)) "second fold rewrites, third does not" [ true; true; false ]
+    (List.map (fun (st : Passes.pass_stat) -> st.ps_changed) folds)
+
+(* A random lil-like graph over 8-bit values: interface reads, constants
+   (often repeated, so cse has work), arithmetic, compares feeding muxes,
+   constant shifts, pure ops without results, region ops whose nested ops
+   read outer values and sometimes the region op's own result, and
+   register writes. Most values end up unused, so DCE finds dead chains. *)
+let random_graph seed =
+  let st = Random.State.make [| seed |] in
+  let rand n = Random.State.int st n in
+  let b = Mir.builder () in
+  let u w = Bitvec.unsigned_ty w in
+  (* a third of the graphs are small with spread-out constants, so that
+     some fold rounds leave nothing for cse to merge *)
+  let small = rand 3 = 0 in
+  let cmax = if small then 256 else 4 in
+  let pool = ref [ Mir.add_op1 b "lil.read_rs1" [] (u 8) ] in
+  let bools = ref [] in
+  let pick l = List.nth l (rand (List.length l)) in
+  let const w v = Mir.add_op1 b "hw.constant" [] (u w) ~attrs:[ ("value", Mir.A_bv (Bitvec.of_int (u w) v)) ] in
+  let nested_op opname operands =
+    let r = Mir.fresh_value b (u 8) in
+    let op =
+      { Mir.oid = b.next_o; opname; operands; results = [ r ]; attrs = []; regions = []; oloc = None }
+    in
+    b.next_o <- b.next_o + 1;
+    op
+  in
+  for _ = 1 to (if small then 2 + rand 6 else 4 + rand 30) do
+    match rand 12 with
+    | 0 -> pool := const 8 (rand cmax) :: !pool
+    | 1 -> pool := Mir.add_op1 b "lil.read_rs2" [] (u 8) :: !pool
+    | 2 | 3 ->
+        let name = pick [ "comb.add"; "comb.and"; "comb.xor"; "comb.or"; "comb.sub" ] in
+        pool := Mir.add_op1 b name [ pick !pool; pick !pool ] (u 8) :: !pool
+    | 4 -> bools := Mir.add_op1 b "comb.icmp_eq" [ pick !pool; pick !pool ] (u 1) :: !bools
+    | 5 ->
+        let c = if !bools = [] || rand 3 = 0 then const 1 (rand 2) else pick !bools in
+        pool := Mir.add_op1 b "comb.mux" [ c; pick !pool; pick !pool ] (u 8) :: !pool
+    | 6 ->
+        let amt = const 8 (rand 10) in
+        pool := Mir.add_op1 b (pick [ "comb.shl"; "comb.shru"; "comb.shrs" ]) [ pick !pool; amt ] (u 8) :: !pool
+    | 7 -> ignore (Mir.add_op b "test.probe" [ pick !pool ] [])
+    | 8 ->
+        let r = Mir.fresh_value b (u 8) in
+        let outer = pick !pool in
+        let nested =
+          nested_op "comb.add" [ outer; pick !pool ]
+          :: (if rand 3 = 0 then [ nested_op "comb.xor" [ r; outer ] ] else [])
+        in
+        let op =
+          {
+            Mir.oid = b.next_o;
+            opname = "test.region";
+            operands = [ pick !pool ];
+            results = [ r ];
+            attrs = [];
+            regions = [ nested ];
+            oloc = None;
+          }
+        in
+        b.next_o <- b.next_o + 1;
+        b.ops <- op :: b.ops;
+        pool := r :: !pool
+    | 9 -> ignore (Mir.add_op b "lil.write_rd" [ pick !pool ] [])
+    | 10 ->
+        (* constant-condition mux feeding an add: folds a round late *)
+        let m = Mir.add_op1 b "comb.mux" [ const 1 (rand 2); const 8 (rand cmax); pick !pool ] (u 8) in
+        pool := Mir.add_op1 b "comb.add" [ m; const 8 (rand cmax) ] (u 8) :: !pool
+    | _ -> pool := Mir.add_op1 b "comb.add" [ pick !pool; const 8 (rand cmax) ] (u 8) :: !pool
+  done;
+  ignore (Mir.add_op b "lil.write_rd" [ pick !pool ] []);
+  Mir.finish b ~name:"random" ~kind:`Instruction ()
+
+let arb_graph = QCheck.make ~print:(fun seed -> Mir.graph_to_string (random_graph seed)) QCheck.Gen.int
+
+let prop_dce_matches_fixpoint =
+  QCheck.Test.make ~name:"one-sweep dce equals the fixpoint dce" ~count:500 arb_graph (fun seed ->
+      let g = random_graph seed in
+      let swept, removed = Passes.dce g in
+      let reference = dce_fixpoint g in
+      Mir.graph_to_string swept = Mir.graph_to_string reference
+      && removed = (Passes.op_count reference <> Passes.op_count g))
+
+let prop_optimize_matches_reference =
+  QCheck.Test.make ~name:"optimize equals the printing-fixpoint reference" ~count:300
+    (QCheck.pair arb_graph (QCheck.int_range 1 4)) (fun (seed, fold_rounds) ->
+      let g = random_graph seed in
+      same_as_reference ~fold_rounds "random" g;
+      same_as_reference "random" g;
+      true)
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_optimize_preserves_semantics; prop_dce_matches_fixpoint; prop_optimize_matches_reference ]
 
 let () =
   Alcotest.run "ir"
@@ -297,6 +496,9 @@ let () =
         [
           Alcotest.test_case "cse dedups reads" `Quick test_cse_dedups_reads;
           Alcotest.test_case "dce removes dead logic" `Quick test_dce_removes_dead_logic;
+          Alcotest.test_case "optimize matches reference on bundled ISAXes" `Quick
+            test_optimize_matches_reference_bundled;
+          Alcotest.test_case "a fold-only round" `Quick test_fold_only_round;
           Alcotest.test_case "constant folding" `Quick test_constant_fold;
           Alcotest.test_case "constant shift lowering" `Quick test_constant_shift_lowering;
           Alcotest.test_case "dynamic shift stays" `Quick test_dynamic_shift_stays;

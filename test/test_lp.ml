@@ -399,9 +399,43 @@ let prop_netopt_transitions =
     ~name:"netopt tracks milp solver through infeasible/unbounded transitions" ~count:60
     (QCheck.make gen_transition_chain) run_chain
 
+(* Dinic against a brute-force minimum cut: on small random graphs (self
+   loops and parallel arcs included) the flow value equals the cheapest
+   s-t cut over every node subset, and the returned levels mark a cut of
+   exactly that capacity *)
+let prop_maxflow_min_cut =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 7 >>= fun n ->
+      list_size (int_range 0 16) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 9))
+      >>= fun arcs -> return (n, arcs))
+  in
+  let print (n, arcs) =
+    Printf.sprintf "n=%d arcs=[%s]" n
+      (String.concat "; " (List.map (fun (u, v, c) -> Printf.sprintf "%d->%d:%d" u v c) arcs))
+  in
+  QCheck.Test.make ~name:"maxflow equals brute-force min cut" ~count:500 (QCheck.make ~print gen)
+    (fun (n, arcs) ->
+      let module M = Lp.Netopt.Maxflow in
+      let s = 0 and t = n - 1 in
+      let g = M.create n in
+      List.iter (fun (u, v, c) -> M.add_edge g u v c) arcs;
+      let flow, level = M.max_flow (M.freeze g) s t in
+      let cut in_s =
+        List.fold_left (fun acc (u, v, c) -> if in_s u && not (in_s v) then acc + c else acc) 0 arcs
+      in
+      let best = ref max_int in
+      for mask = 0 to (1 lsl n) - 1 do
+        let in_s i = mask land (1 lsl i) <> 0 in
+        if in_s s && not (in_s t) then best := min !best (cut in_s)
+      done;
+      let in_s i = level.(i) >= 0 in
+      flow = !best && in_s s && (not (in_s t)) && cut in_s = flow)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_maxflow_min_cut;
       prop_rat_field;
       prop_rat_floor_le;
       prop_difference_minimality;
