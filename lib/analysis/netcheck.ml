@@ -1,15 +1,18 @@
 (* Structural netlist checks: multiple drivers (E0520), combinational
    cycles (E0521) and undefined signals (E0522), with provenance back to
-   the originating CoreDSL source when the caller supplies a resolver. *)
+   the originating CoreDSL source when the caller supplies a resolver.
+   [Rtl.Netlist.freeze] does the checking; this module turns its
+   problems into diagnostics, and only when there are any. *)
 
 module N = Rtl.Netlist
 
 exception Netcheck_error of Diag.t
 
 (* Hwgen names a signal after the SSA value it implements: "v<id>" plus an
-   optional "_s<stage>" pipeline suffix. *)
+   optional "_s<stage>" pipeline suffix. The def map is built on the first
+   lookup, so a netlist that freezes never pays for it. *)
 let signal_provenance (g : Ir.Mir.graph) =
-  let defs = Ir.Mir.def_map g in
+  let defs = lazy (Ir.Mir.def_map g) in
   fun (signal : string) ->
     let n = String.length signal in
     if n < 2 || signal.[0] <> 'v' then None
@@ -23,7 +26,7 @@ let signal_provenance (g : Ir.Mir.graph) =
         match int_of_string_opt (String.sub signal 1 (!stop - 1)) with
         | None -> None
         | Some vid -> (
-            match Hashtbl.find_opt defs vid with
+            match Hashtbl.find_opt (Lazy.force defs) vid with
             | Some (op : Ir.Mir.op) -> op.oloc
             | None -> None)
     end
@@ -33,94 +36,29 @@ let diag ?span ?(notes = []) code fmt =
 
 let check ?what ?(provenance = fun _ -> None) (nl : N.t) =
   let what = match what with Some w -> w | None -> nl.N.mod_name in
-  let out = ref [] in
-  let push d = out := d :: !out in
-  let inputs = Hashtbl.create 16 in
-  List.iter (fun (p : N.port) -> Hashtbl.replace inputs p.port_name ()) nl.inputs;
-  (* E0520: each signal must have exactly one driver. *)
-  let drivers = Hashtbl.create 64 in
-  List.iter
-    (fun node ->
-      let s = N.node_out node in
-      let span = provenance s in
-      if Hashtbl.mem inputs s then
-        push
-          (diag ?span "E0520"
-             "%s: signal '%s' is driven by a node but is also an input port"
-             what s)
-      else if Hashtbl.mem drivers s then
-        push
-          (diag ?span "E0520" "%s: signal '%s' has multiple drivers" what s)
-      else Hashtbl.replace drivers s node)
-    nl.nodes;
-  (* E0522: every referenced signal must be defined somewhere. *)
-  let defined s = Hashtbl.mem inputs s || Hashtbl.mem drivers s in
-  let reported_undef = Hashtbl.create 8 in
-  let require ~via s =
-    if (not (defined s)) && not (Hashtbl.mem reported_undef s) then begin
-      Hashtbl.replace reported_undef s ();
-      push
-        (diag ?span:(provenance via) "E0522"
-           "%s: undefined signal '%s' (referenced by '%s')" what s via)
-    end
-  in
-  List.iter
-    (fun node ->
-      let via = N.node_out node in
-      List.iter (require ~via) (N.comb_deps node);
-      match node with
-      | N.Reg r ->
-          require ~via r.next;
-          Option.iter (require ~via) r.enable
-      | N.Comb _ | N.Rom _ -> ())
-    nl.nodes;
-  List.iter (fun (p : N.port) -> require ~via:p.port_name p.port_signal) nl.outputs;
-  (* E0521: combinational cycles (registers break paths: comb_deps of a
-     Reg is empty). Iterative DFS with an explicit path for the report. *)
-  let color = Hashtbl.create 64 in
-  (* 0 absent = white, 1 = on stack, 2 = done *)
-  let cycle = ref None in
-  let rec dfs path s =
-    if !cycle = None then
-      match Hashtbl.find_opt color s with
-      | Some 2 -> ()
-      | Some _ ->
-          (* Found a back edge: recover the cycle from the path. *)
-          let rec cut = function
-            | x :: _ as l when x = s -> l
-            | _ :: tl -> cut tl
-            | [] -> [ s ]
+  List.map
+    (function
+      | N.Duplicate_input s ->
+          diag "E0520" "%s: signal '%s' is defined by two input ports" what s
+      | N.Drives_input s ->
+          diag ?span:(provenance s) "E0520"
+            "%s: signal '%s' is driven by a node but is also an input port" what s
+      | N.Multiple_drivers s ->
+          diag ?span:(provenance s) "E0520" "%s: signal '%s' has multiple drivers" what s
+      | N.Undefined { signal; via } ->
+          diag ?span:(provenance via) "E0522" "%s: undefined signal '%s' (referenced by '%s')"
+            what signal via
+      | N.Comb_cycle signals ->
+          let first = List.hd signals in
+          let origin s (sp : Diag.span) =
+            Printf.sprintf "'%s' originates at %s:%d:%d" s sp.sp_file sp.sp_line sp.sp_col
           in
-          cycle := Some (cut (List.rev (s :: path)))
-      | None -> (
-          Hashtbl.replace color s 1;
-          (match Hashtbl.find_opt drivers s with
-          | Some node -> List.iter (dfs (s :: path)) (N.comb_deps node)
-          | None -> ());
-          Hashtbl.replace color s 2)
-  in
-  List.iter (fun node -> dfs [] (N.node_out node)) nl.nodes;
-  (match !cycle with
-  | Some (first :: _ as signals) ->
-      let notes =
-        List.filter_map
-          (fun s ->
-            match provenance s with
-            | Some (sp : Diag.span) ->
-                Some
-                  (Printf.sprintf "'%s' originates at %s:%d:%d" s sp.sp_file
-                     sp.sp_line sp.sp_col)
-            | None -> None)
-          signals
-      in
-      push
-        (diag ?span:(provenance first) ~notes "E0521"
-           "%s: combinational cycle through %s" what
-           (String.concat " -> " (signals @ [ first ])))
-  | Some [] | None -> ());
-  List.rev !out
+          let notes = List.filter_map (fun s -> Option.map (origin s) (provenance s)) signals in
+          diag ?span:(provenance first) ~notes "E0521" "%s: combinational cycle through %s" what
+            (String.concat " -> " (signals @ [ first ])))
+    (N.problems nl)
 
-let verify ?what ?provenance nl =
-  match check ?what ?provenance nl with
-  | [] -> ()
-  | d :: _ -> raise (Netcheck_error d)
+let freeze ?what ?provenance nl =
+  try N.freeze nl
+  with N.Netlist_error _ as e -> (
+    match check ?what ?provenance nl with d :: _ -> raise (Netcheck_error d) | [] -> raise e)

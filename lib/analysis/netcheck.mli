@@ -1,10 +1,11 @@
-(** Structural checks on an RTL netlist before SystemVerilog emission.
-
-    Complements [Rtl.Netlist.validate] (which raises stringly
-    [Netlist_error]s) with structured diagnostics carrying originating
-    CoreDSL provenance when available:
-    - E0520: a signal driven more than once (duplicate node outputs, or a
-      node shadowing an input port);
+(** Structural checks on an RTL netlist before HDL emission: the flow's
+    single netlist gate. {!freeze} freezes the netlist with
+    [Rtl.Netlist.freeze]; only when that fails does it rerun the analysis
+    as {!check} to raise a structured diagnostic with originating CoreDSL
+    provenance when available:
+    - E0520: a signal driven more than once (duplicate node outputs, a
+      node driving an input port's signal, or two input ports defining
+      one signal);
     - E0521: a combinational cycle, reported with the full signal path;
     - E0522: a referenced signal no node or input port defines.
 
@@ -24,13 +25,16 @@ val check :
   ?provenance:(string -> Diag.span option) ->
   Rtl.Netlist.t ->
   Diag.t list
-(** All structural violations, deterministically ordered (driver checks in
-    node order, then undefined signals, then cycles). [what] names the
-    functionality for the message (defaults to the module name). *)
+(** All structural violations, in the order of [Rtl.Netlist.problems]
+    (duplicate definitions, then undefined signals, then the first cycle);
+    empty iff the netlist freezes. [what] names the functionality for the
+    message (defaults to the module name). *)
 
-val verify :
+val freeze :
   ?what:string ->
   ?provenance:(string -> Diag.span option) ->
   Rtl.Netlist.t ->
-  unit
-(** Raise {!Netcheck_error} with the first violation of {!check}. *)
+  Rtl.Netlist.frozen
+(** The frozen netlist; raises {!Netcheck_error} with the first violation
+    of {!check} when it does not freeze. [provenance] is called only on
+    that path. *)

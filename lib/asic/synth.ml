@@ -18,39 +18,30 @@ let node_area = function
   | Rom r -> Library.rom_area_per_bit *. float_of_int (Array.length r.table * r.width)
   | Reg r -> Library.flop_area_per_bit *. float_of_int r.width
 
-(* longest path: arrival time at each signal, walking combinational nodes
-   in dependency order; registers and inputs launch at [launch_delay] *)
+(* longest path: arrival time at each signal id, walking the frozen
+   combinational order; registers and inputs launch at [launch_delay] *)
 let critical_path (m : Rtl.Netlist.t) =
-  let arrival = Hashtbl.create 64 in
-  List.iter (fun p -> Hashtbl.replace arrival p.port_signal Library.launch_delay) m.inputs;
-  List.iter
-    (fun (r : reg_node) -> Hashtbl.replace arrival r.out Library.launch_delay)
-    (registers m);
-  let at s = Option.value ~default:0.0 (Hashtbl.find_opt arrival s) in
+  let f = freeze m in
+  let arrival = Array.make (Array.length f.f_names) 0.0 in
+  Array.fill arrival 0 f.f_n_inputs Library.launch_delay;
+  Array.iter (fun r -> arrival.(r.fr_out) <- Library.launch_delay) f.f_regs;
   let worst = ref 0.0 in
-  List.iter
-    (fun n ->
-      let inputs, delay, out =
-        match n with
-        | Comb c ->
-            (c.inputs, Library.comb_delay ~op:c.op ~width:c.width, c.out)
-        | Rom r -> ([ r.index ], Library.comb_delay ~op:"lil.rom" ~width:r.width, r.out)
-        | Reg _ -> ([], 0.0, "")
+  Array.iter
+    (fun fn ->
+      let delay =
+        match fn.fn_node with
+        | Comb c -> Library.comb_delay ~op:c.op ~width:c.width
+        | Rom r -> Library.comb_delay ~op:"lil.rom" ~width:r.width
+        | Reg _ -> 0.0
       in
-      if out <> "" then begin
-        let arr = List.fold_left (fun acc s -> max acc (at s)) 0.0 inputs +. delay in
-        Hashtbl.replace arrival out arr;
-        worst := max !worst arr
-      end)
-    (topo_nodes m);
+      let arr = Array.fold_left (fun acc i -> max acc arrival.(i)) 0.0 fn.fn_ins +. delay in
+      arrival.(fn.fn_out) <- arr;
+      worst := max !worst arr)
+    f.f_comb;
   (* paths terminate at register data/enable inputs and output ports *)
-  let endpoint s = at s +. Library.setup_time in
-  List.iter
-    (fun (r : reg_node) ->
-      worst := max !worst (endpoint r.next);
-      match r.enable with Some e -> worst := max !worst (endpoint e) | None -> ())
-    (registers m);
-  List.iter (fun p -> worst := max !worst (endpoint p.port_signal)) m.outputs;
+  let endpoint i = worst := max !worst (arrival.(i) +. Library.setup_time) in
+  Array.iter (fun r -> endpoint r.fr_next; Option.iter endpoint r.fr_enable) f.f_regs;
+  Array.iter endpoint f.f_outputs;
   !worst
 
 let synthesize (m : Rtl.Netlist.t) : report =

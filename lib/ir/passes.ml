@@ -77,29 +77,47 @@ let fold_constants (g : graph) : graph * bool =
 
 (* ---- common-subexpression elimination ---- *)
 
+(* The identity of a pure op, written into [buf] (cleared first, so one
+   buffer serves every op): "name(operands){k=v,...}:result types" over
+   the canonical operand ids. Result types are part of the identity: the
+   same extract/concat can produce different widths. *)
+let cse_key buf ~canon op =
+  Buffer.clear buf;
+  let add = Buffer.add_string buf and sep i = if i > 0 then Buffer.add_char buf ',' in
+  add op.opname;
+  Buffer.add_char buf '(';
+  List.iteri (fun i v -> sep i; add (string_of_int (canon v).vid)) op.operands;
+  add "){";
+  List.iteri
+    (fun i (k, a) ->
+      sep i;
+      add k;
+      Buffer.add_char buf '=';
+      match a with
+      | A_int n -> add (string_of_int n)
+      | A_str s -> add s
+      | A_bv v ->
+          add (Bitvec.to_hex_string v);
+          Buffer.add_char buf '/';
+          add (string_of_int (Bitvec.width v))
+      | A_bool b -> add (string_of_bool b))
+    op.attrs;
+  add "}:";
+  List.iteri
+    (fun i r ->
+      sep i;
+      add (if r.vty.Bitvec.signed then "signed<" else "unsigned<");
+      add (string_of_int r.vty.Bitvec.width);
+      Buffer.add_char buf '>')
+    op.results;
+  Buffer.contents buf
+
 let cse (g : graph) : graph * bool =
   let table : (string, value list) Hashtbl.t = Hashtbl.create 32 in
   let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let canon v = match Hashtbl.find_opt subst v.vid with Some v' -> v' | None -> v in
-  let key op =
-    let operands = List.map (fun v -> string_of_int (canon v).vid) op.operands in
-    (* result types are part of the identity: the same extract/concat can
-       produce different widths *)
-    let results = List.map (fun r -> Bitvec.ty_to_string r.vty) op.results in
-    let attrs =
-      List.map
-        (fun (k, a) ->
-          Printf.sprintf "%s=%s" k
-            (match a with
-            | A_int i -> string_of_int i
-            | A_str s -> s
-            | A_bv v -> Bitvec.to_hex_string v ^ "/" ^ string_of_int (Bitvec.width v)
-            | A_bool b -> string_of_bool b))
-        op.attrs
-    in
-    Printf.sprintf "%s(%s){%s}:%s" op.opname (String.concat "," operands)
-      (String.concat "," attrs) (String.concat "," results)
-  in
+  let buf = Buffer.create 64 in
+  let key = cse_key buf ~canon in
   let body =
     List.filter
       (fun op ->

@@ -13,6 +13,11 @@ val is_interface_read : Mir.op -> bool
 val fold_constants : Mir.graph -> Mir.graph * bool
 val cse : Mir.graph -> Mir.graph * bool
 
+(** [cse_key buf ~canon op] is the identity cse merges pure ops on: op
+    name, canonical operand ids, attributes and result types, written into
+    [buf] after clearing it. *)
+val cse_key : Buffer.t -> canon:(Mir.value -> Mir.value) -> Mir.op -> string
+
 val dce : Mir.graph -> Mir.graph * bool
 (** One reverse sweep over the SSA-ordered body. *)
 

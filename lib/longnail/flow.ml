@@ -479,17 +479,19 @@ let build_func_hw session (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) 
         Obs.metric_int_opt sobs "pipe_reg_bits" hw.Hwgen.pipe_reg_bits;
         hw)
   in
-  let () =
+  let frozen =
     Obs.span_opt obs "netcheck" (fun sobs ->
-        Analysis.Netcheck.verify ~what:name
-          ~provenance:(Analysis.Netcheck.signal_provenance lil)
-          hw.Hwgen.netlist;
-        Obs.metric_int_opt sobs "signals"
-          (List.length hw.Hwgen.netlist.Rtl.Netlist.nodes))
+        let f =
+          Analysis.Netcheck.freeze ~what:name
+            ~provenance:(Analysis.Netcheck.signal_provenance lil)
+            hw.Hwgen.netlist
+        in
+        Obs.metric_int_opt sobs "signals" (Array.length f.f_names - f.f_n_inputs);
+        f)
   in
   let sv =
     Obs.span_opt obs "sv_emit" (fun sobs ->
-        let sv = Rtl.Backend.emit k.k_backend hw.netlist in
+        let sv = Rtl.Backend.emit k.k_backend frozen in
         Obs.metric_int_opt sobs "sv_bytes" (String.length sv);
         sv)
   in

@@ -216,8 +216,9 @@ val target_key : session -> knobs -> Scaiev.Datasheet.t -> Coredsl.Tast.tunit ->
     nested under the ["ir_artifact"] (hlir/lil/optimize/verify) and
     ["sched_artifact"] (schedule/hwgen/netcheck/sv_emit) cache-boundary
     spans. The ["verify"] stage runs the dialect-aware
-    {!Analysis.Verifier} over the optimized LIL, and ["netcheck"] runs
-    {!Analysis.Netcheck} over the generated netlist before SV emission. A
+    {!Analysis.Verifier} over the optimized LIL, and ["netcheck"] freezes
+    the generated netlist through {!Analysis.Netcheck}, the one netlist
+    check, whose frozen form ["sv_emit"] then emits. A
     cache hit skips the stage spans: only the boundary span with its
     [cache.hit]/[cache.miss]/[cache.store] counters remains. *)
 val stage_names : string list

@@ -343,5 +343,4 @@ let generate (core : Scaiev.Datasheet.t) (elab : Coredsl.Elaborate.elaborated)
       nodes = List.rev !nodes;
     }
   in
-  Rtl.Netlist.validate netlist;
   { netlist; bindings = List.rev !bindings; max_stage = !max_stage; pipe_reg_bits = !pipe_bits }

@@ -13,5 +13,5 @@ let of_string s = Choice.parse ~what:"emission backend" ~choices:all_kinds s
 (* Output file extension: .sv for SystemVerilog, .v for Verilog-2001. *)
 let file_ext = function Sv -> "sv" | V2001 -> "v"
 
-let emit kind (m : Netlist.t) : string =
-  match kind with Sv -> Sv_emit.emit m | V2001 -> V2001_emit.emit m
+let emit kind (f : Netlist.frozen) : string =
+  match kind with Sv -> Sv_emit.emit f | V2001 -> V2001_emit.emit f

@@ -19,4 +19,4 @@ val of_string : string -> (kind, string) result
 (** ["sv"] for SystemVerilog, ["v"] for Verilog-2001. *)
 val file_ext : kind -> string
 
-val emit : kind -> Netlist.t -> string
+val emit : kind -> Netlist.frozen -> string

@@ -33,8 +33,8 @@ let sx w x = (x lsl (Sys.int_size - w)) asr (Sys.int_size - w)
 type slot = { idx : int; s_width : int; s_wide : bool }
 
 type t = {
-  m : Netlist.t;
-  slots : (string, slot) Hashtbl.t;
+  f : Netlist.frozen;
+  slots : slot array;  (* by signal id *)
   ints : int array;  (* narrow signals: unsigned patterns *)
   wides : Bitvec.t array;  (* wide signals: raw Bitvec values, as Sim stores them *)
   ints0 : int array;  (* the arena as [create] left it: constants, register inits *)
@@ -43,34 +43,21 @@ type t = {
   commit_regs : unit -> unit;  (* two-phase register update *)
 }
 
-let netlist t = t.m
+let netlist t = t.f.f_src
 
 let create (m : Netlist.t) : t =
-  let order = topo_nodes m in
-  (* arena layout: one slot per defined signal *)
-  let slots = Hashtbl.create 64 in
+  let f = freeze m in
+  (* arena layout: one slot per signal id *)
   let n_ints = ref 0 and n_wides = ref 0 in
-  let alloc name w =
-    if not (Hashtbl.mem slots name) then
-      if is_narrow w then (
-        Hashtbl.replace slots name { idx = !n_ints; s_width = w; s_wide = false };
-        incr n_ints)
-      else (
-        Hashtbl.replace slots name { idx = !n_wides; s_width = w; s_wide = true };
-        incr n_wides)
+  let alloc w =
+    let n = if is_narrow w then n_ints else n_wides in
+    incr n;
+    { idx = !n - 1; s_width = w; s_wide = not (is_narrow w) }
   in
-  List.iter (fun p -> alloc p.port_signal p.port_width) m.inputs;
-  List.iter (fun n -> alloc (node_out n) (node_width n)) m.nodes;
+  let slots = Array.map alloc f.f_widths in
   let ints = Array.make (max 1 !n_ints) 0 in
   let wides = Array.make (max 1 !n_wides) (Bitvec.zero (u 1)) in
-  Hashtbl.iter
-    (fun _ s -> if s.s_wide then wides.(s.idx) <- Bitvec.zero (u s.s_width))
-    slots;
-  let slot name =
-    match Hashtbl.find_opt slots name with
-    | Some s -> s
-    | None -> nl_error "signal %s has no slot" name
-  in
+  Array.iter (fun s -> if s.s_wide then wides.(s.idx) <- Bitvec.zero (u s.s_width)) slots;
   let read_bv (s : slot) () =
     if s.s_wide then wides.(s.idx) else Bitvec.of_int (u s.s_width) ints.(s.idx)
   in
@@ -80,8 +67,8 @@ let create (m : Netlist.t) : t =
   in
   (* fallback: any node touching a wide signal replays the reference
      semantics in Ir.Comb_eval on Bitvec operands *)
-  let generic_comb op attrs width (o : slot) (ins : slot list) =
-    let readers = List.map read_bv ins in
+  let generic_comb op attrs width (o : slot) (ins : slot array) =
+    let readers = Array.to_list (Array.map read_bv ins) in
     fun () ->
       let ops = List.map (fun r -> r ()) readers in
       write_bv o (Ir.Comb_eval.eval ~name:op ~attrs ~ops ~result_width:width)
@@ -89,12 +76,12 @@ let create (m : Netlist.t) : t =
   (* narrow specialization: out and every input fit native ints; each op
      mirrors Ir.Comb_eval.eval exactly (wrap = land mask, signed views
      via sx at the operand's own width) *)
-  let narrow_comb op attrs width (o : slot) (ins : slot list) =
+  let narrow_comb op attrs width (o : slot) (ins : slot array) =
     let w = width in
     let m = mask w in
     let io = o.idx in
-    let i n = (List.nth ins n).idx in
-    let wi n = (List.nth ins n).s_width in
+    let i n = ins.(n).idx in
+    let wi n = ins.(n).s_width in
     match op with
     | "comb.add" ->
         let a = i 0 and b = i 1 in
@@ -146,7 +133,7 @@ let create (m : Netlist.t) : t =
     | "comb.concat" ->
         (* first operand is the most significant; the result is the
            un-wrapped sum-width value, exactly like Bitvec.concat *)
-        let parts = List.map (fun (s : slot) -> (s.idx, s.s_width)) ins in
+        let parts = Array.to_list (Array.map (fun (s : slot) -> (s.idx, s.s_width)) ins) in
         fun () ->
           ints.(io) <-
             List.fold_left (fun acc (ix, wx) -> (acc lsl wx) lor ints.(ix)) 0 parts
@@ -210,24 +197,24 @@ let create (m : Netlist.t) : t =
            behavior matches the interpreter *)
         generic_comb op attrs width o ins
   in
-  let compile_node (n : node) : (unit -> unit) option =
-    match n with
+  let compile_node (fn : fnode) : (unit -> unit) option =
+    let o = slots.(fn.fn_out) in
+    match fn.fn_node with
     | Reg _ -> None
-    | Comb { op = "hw.constant"; out; width; attrs; _ } -> (
+    | Comb { op = "hw.constant"; width; attrs; _ } -> (
         (* constants are written into the arena once, at compile time *)
         match List.assoc_opt "value" attrs with
         | Some (Ir.Mir.A_bv v) ->
-            write_bv (slot out) (Bitvec.cast (u width) v);
+            write_bv o (Bitvec.cast (u width) v);
             None
         | _ -> invalid_arg "hw.constant without value")
     | Comb c ->
-        let o = slot c.out in
-        let ins = List.map slot c.inputs in
-        if (not o.s_wide) && List.for_all (fun (s : slot) -> not s.s_wide) ins then
+        let ins = Array.map (Array.get slots) fn.fn_ins in
+        if (not o.s_wide) && Array.for_all (fun (s : slot) -> not s.s_wide) ins then
           Some (narrow_comb c.op c.attrs c.width o ins)
         else Some (generic_comb c.op c.attrs c.width o ins)
     | Rom r ->
-        let o = slot r.out and ix = slot r.index in
+        let ix = slots.(fn.fn_ins.(0)) in
         let len = Array.length r.table in
         if (not o.s_wide) && not ix.s_wide then (
           let tbl =
@@ -249,28 +236,20 @@ let create (m : Netlist.t) : t =
               write_bv o (Bitvec.cast (u r.width) v))
   in
   (* registers: reset state now; sample-then-commit closures for clock *)
-  let regs = registers m in
-  List.iter
-    (fun (r : reg_node) ->
-      write_bv (slot r.out)
-        (match r.init with
-        | Some v -> Bitvec.cast (u r.width) v
-        | None -> Bitvec.zero (u r.width)))
-    regs;
-  let nregs = List.length regs in
+  let regs = f.f_regs and nregs = Array.length f.f_regs in
   let staged_i = Array.make (max 1 nregs) 0 in
   let staged_w = Array.make (max 1 nregs) (Bitvec.zero (u 1)) in
   let enabled = Array.make (max 1 nregs) false in
   let reg_progs =
-    List.mapi
-      (fun k (r : reg_node) ->
-        let o = slot r.out in
-        let nx = slot r.next in
+    Array.mapi
+      (fun k { fr_reg = r; fr_out; fr_next; fr_enable } ->
+        let o = slots.(fr_out) and nx = slots.(fr_next) in
+        write_bv o (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width));
         let en_check =
-          match r.enable with
+          match fr_enable with
           | None -> fun () -> true
           | Some e ->
-              let s = slot e in
+              let s = slots.(e) in
               if s.s_wide then fun () -> Bitvec.to_bool wides.(s.idx)
               else fun () -> ints.(s.idx) <> 0
         in
@@ -295,16 +274,10 @@ let create (m : Netlist.t) : t =
         (sample, commit))
       regs
   in
-  let samples = Array.of_list (List.map fst reg_progs) in
-  let commits = Array.of_list (List.map snd reg_progs) in
-  let commit_regs () =
-    Array.iter (fun f -> f ()) samples;
-    Array.iter (fun f -> f ()) commits
-  in
-  let steps =
-    List.filter_map compile_node order |> Array.of_list
-  in
-  { m; slots; ints; wides; ints0 = Array.copy ints; wides0 = Array.copy wides; steps; commit_regs }
+  let samples = Array.map fst reg_progs and commits = Array.map snd reg_progs in
+  let commit_regs () = Array.iter (fun f -> f ()) samples; Array.iter (fun f -> f ()) commits in
+  let steps = Array.to_list f.f_comb |> List.filter_map compile_node |> Array.of_list in
+  { f; slots; ints; wides; ints0 = Array.copy ints; wides0 = Array.copy wides; steps; commit_regs }
 
 (* Back to the post-create state. The staged/enabled register arrays need
    no reset: [clock] samples every register before it commits any. *)
@@ -313,16 +286,17 @@ let reset t =
   Array.blit t.wides0 0 t.wides 0 (Array.length t.wides)
 
 let set_input t name v =
-  match List.find_opt (fun p -> p.port_name = name) t.m.inputs with
+  match List.find_opt (fun p -> p.port_name = name) t.f.f_src.inputs with
   | Some p ->
-      let s = Hashtbl.find t.slots p.port_signal in
+      let s = t.slots.(Hashtbl.find t.f.f_ids p.port_signal) in
       let v = Bitvec.cast (u p.port_width) v in
       if s.s_wide then t.wides.(s.idx) <- v else t.ints.(s.idx) <- Bitvec.to_int v
   | None -> nl_error "no input port %s" name
 
 let signal_opt t name =
-  match Hashtbl.find_opt t.slots name with
-  | Some s ->
+  match Hashtbl.find_opt t.f.f_ids name with
+  | Some id ->
+      let s = t.slots.(id) in
       Some (if s.s_wide then t.wides.(s.idx) else Bitvec.of_int (u s.s_width) t.ints.(s.idx))
   | None -> None
 
@@ -342,7 +316,7 @@ let eval t =
 let clock t = t.commit_regs ()
 
 let output t name =
-  match List.find_opt (fun p -> p.port_name = name) t.m.outputs with
+  match List.find_opt (fun p -> p.port_name = name) t.f.f_src.outputs with
   | Some p -> Bitvec.cast (u p.port_width) (signal t p.port_signal)
   | None -> nl_error "no output port %s" name
 

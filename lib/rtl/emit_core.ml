@@ -7,123 +7,132 @@
 
 open Netlist
 
-(* Deterministic signal/module naming shared by all backends. *)
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+
+(* Deterministic signal/module naming shared by all backends: a legal
+   identifier is returned as it is, without a copy. *)
 let sv_ident s =
-  String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' then c else '_') s
+  if String.for_all is_ident_char s then s
+  else String.map (fun c -> if is_ident_char c then c else '_') s
 
-let wire w name = if w = 1 then name else Printf.sprintf "[%d:0] %s" (w - 1) name
+let add_int b i = Buffer.add_string b (string_of_int i)
 
-let bv_literal v =
-  Printf.sprintf "%d'h%s" (Bitvec.width v)
-    (let h = Bitvec.to_hex_string v in
-     String.sub h 2 (String.length h - 2))
+let add_wire b w name =
+  if w <> 1 then (Buffer.add_char b '['; add_int b (w - 1); Buffer.add_string b ":0] ");
+  Buffer.add_string b name
+
+let add_literal b v =
+  let h = Bitvec.to_hex_string v in
+  add_int b (Bitvec.width v);
+  Buffer.add_string b "'h";
+  Buffer.add_substring b h 2 (String.length h - 2)
 
 (* The expression grammar is the Verilog-2001 subset of SystemVerilog
    ($signed is Verilog-2001), so one lowering serves every dialect. *)
-let comb_expr ~attrs ~op ~(inputs : string list) ~width =
-  let a () = List.nth inputs 0 and b () = List.nth inputs 1 in
-  let signed x = Printf.sprintf "$signed(%s)" x in
+let add_comb_expr b ~attrs ~op ~(ins : string array) ~width =
+  let s = Buffer.add_string b in
+  let operand signed i = if signed then (s "$signed("; s ins.(i); s ")") else s ins.(i) in
+  let bin sa infix sb = operand sa 0; s infix; operand sb 1 in
   match op with
   | "hw.constant" -> (
       match List.assoc_opt "value" attrs with
-      | Some (Ir.Mir.A_bv v) -> bv_literal v
+      | Some (Ir.Mir.A_bv v) -> add_literal b v
       | _ -> invalid_arg "constant without value")
-  | "comb.add" -> Printf.sprintf "%s + %s" (a ()) (b ())
-  | "comb.sub" -> Printf.sprintf "%s - %s" (a ()) (b ())
-  | "comb.mul" -> Printf.sprintf "%s * %s" (a ()) (b ())
-  | "comb.divu" -> Printf.sprintf "%s / %s" (a ()) (b ())
-  | "comb.modu" -> Printf.sprintf "%s %% %s" (a ()) (b ())
-  | "comb.divs" -> Printf.sprintf "%s / %s" (signed (a ())) (signed (b ()))
-  | "comb.mods" -> Printf.sprintf "%s %% %s" (signed (a ())) (signed (b ()))
-  | "comb.and" -> Printf.sprintf "%s & %s" (a ()) (b ())
-  | "comb.or" -> Printf.sprintf "%s | %s" (a ()) (b ())
-  | "comb.xor" -> Printf.sprintf "%s ^ %s" (a ()) (b ())
-  | "comb.mux" ->
-      Printf.sprintf "%s ? %s : %s" (List.nth inputs 0) (List.nth inputs 1) (List.nth inputs 2)
+  | "comb.add" -> bin false " + " false
+  | "comb.sub" -> bin false " - " false
+  | "comb.mul" -> bin false " * " false
+  | "comb.divu" -> bin false " / " false
+  | "comb.modu" -> bin false " % " false
+  | "comb.divs" -> bin true " / " true
+  | "comb.mods" -> bin true " % " true
+  | "comb.and" -> bin false " & " false
+  | "comb.or" -> bin false " | " false
+  | "comb.xor" -> bin false " ^ " false
+  | "comb.mux" -> s ins.(0); s " ? "; s ins.(1); s " : "; s ins.(2)
   | "comb.extract" -> (
       match List.assoc_opt "lowBit" attrs with
       | Some (Ir.Mir.A_int lo) ->
-          if width = 1 then Printf.sprintf "%s[%d]" (a ()) lo
-          else Printf.sprintf "%s[%d:%d]" (a ()) (lo + width - 1) lo
+          s ins.(0); s "[";
+          if width <> 1 then (add_int b (lo + width - 1); s ":");
+          add_int b lo; s "]"
       | _ -> invalid_arg "extract without lowBit")
-  | "comb.concat" -> Printf.sprintf "{%s}" (String.concat ", " inputs)
-  | "comb.replicate" -> Printf.sprintf "{%d{%s}}" width (a ())
-  | "comb.shl" -> Printf.sprintf "%s << %s" (a ()) (b ())
-  | "comb.shru" -> Printf.sprintf "%s >> %s" (a ()) (b ())
-  | "comb.shrs" -> Printf.sprintf "%s >>> %s" (signed (a ())) (b ())
-  | "comb.icmp_eq" -> Printf.sprintf "%s == %s" (a ()) (b ())
-  | "comb.icmp_ne" -> Printf.sprintf "%s != %s" (a ()) (b ())
-  | "comb.icmp_ult" -> Printf.sprintf "%s < %s" (a ()) (b ())
-  | "comb.icmp_ule" -> Printf.sprintf "%s <= %s" (a ()) (b ())
-  | "comb.icmp_ugt" -> Printf.sprintf "%s > %s" (a ()) (b ())
-  | "comb.icmp_uge" -> Printf.sprintf "%s >= %s" (a ()) (b ())
-  | "comb.icmp_slt" -> Printf.sprintf "%s < %s" (signed (a ())) (signed (b ()))
-  | "comb.icmp_sle" -> Printf.sprintf "%s <= %s" (signed (a ())) (signed (b ()))
-  | "comb.icmp_sgt" -> Printf.sprintf "%s > %s" (signed (a ())) (signed (b ()))
-  | "comb.icmp_sge" -> Printf.sprintf "%s >= %s" (signed (a ())) (signed (b ()))
+  | "comb.concat" -> s "{"; Array.iteri (fun i x -> if i > 0 then s ", "; s x) ins; s "}"
+  | "comb.replicate" -> s "{"; add_int b width; s "{"; s ins.(0); s "}}"
+  | "comb.shl" -> bin false " << " false
+  | "comb.shru" -> bin false " >> " false
+  | "comb.shrs" -> bin true " >>> " false
+  | "comb.icmp_eq" -> bin false " == " false
+  | "comb.icmp_ne" -> bin false " != " false
+  | "comb.icmp_ult" -> bin false " < " false
+  | "comb.icmp_ule" -> bin false " <= " false
+  | "comb.icmp_ugt" -> bin false " > " false
+  | "comb.icmp_uge" -> bin false " >= " false
+  | "comb.icmp_slt" -> bin true " < " true
+  | "comb.icmp_sle" -> bin true " <= " true
+  | "comb.icmp_sgt" -> bin true " > " true
+  | "comb.icmp_sge" -> bin true " >= " true
   | other -> invalid_arg ("no SV lowering for " ^ other)
 
 (* What a backend may change: the process keywords. Declarations are
    wire/reg in every dialect (the SystemVerilog backend deliberately never
    used [logic], so both outputs share the declaration section too). *)
 type dialect = {
-  d_name : string;
   d_always_comb : string;  (* "always_comb" or "always @*" *)
   d_always_ff : string;  (* "always_ff @(posedge clk)" or "always @(posedge clk)" *)
 }
 
-let sv = { d_name = "sv"; d_always_comb = "always_comb"; d_always_ff = "always_ff @(posedge clk)" }
+let sv = { d_always_comb = "always_comb"; d_always_ff = "always_ff @(posedge clk)" }
 
-let v2001 =
-  { d_name = "v2001"; d_always_comb = "always @*"; d_always_ff = "always @(posedge clk)" }
+let v2001 = { d_always_comb = "always @*"; d_always_ff = "always @(posedge clk)" }
 
-let emit ~(dialect : dialect) (m : t) : string =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "module %s(\n" (sv_ident m.mod_name);
-  pr "  input clk,\n  input rst";
-  List.iter (fun p -> pr ",\n  input  %s" (wire p.port_width (sv_ident p.port_name))) m.inputs;
-  List.iter (fun p -> pr ",\n  output %s" (wire p.port_width (sv_ident p.port_name))) m.outputs;
-  pr ");\n\n";
-  (* declarations *)
-  List.iter
-    (fun n ->
-      match n with
-      | Comb c -> pr "  wire %s;\n" (wire c.width (sv_ident c.out))
-      | Rom r -> pr "  reg %s;\n" (wire r.width (sv_ident r.out))
-      | Reg r -> pr "  reg %s;\n" (wire r.width (sv_ident r.out)))
+(* Every name is sanitised once, up front; the text goes straight into
+   one buffer. *)
+let emit ~(dialect : dialect) (f : frozen) : string =
+  let m = f.f_src in
+  let b = Buffer.create (64 * Array.length f.f_names + 256) in
+  let s = Buffer.add_string b in
+  let id = Array.map sv_ident f.f_names in
+  let port dir p = s dir; add_wire b p.port_width (sv_ident p.port_name) in
+  s "module "; s (sv_ident m.mod_name); s "(\n  input clk,\n  input rst";
+  List.iter (port ",\n  input  ") m.inputs;
+  List.iter (port ",\n  output ") m.outputs;
+  s ");\n\n";
+  (* declarations, in node order *)
+  List.iteri
+    (fun k n ->
+      s (match n with Comb _ -> "  wire " | Rom _ | Reg _ -> "  reg ");
+      add_wire b (node_width n) id.(f.f_n_inputs + k);
+      s ";\n")
     m.nodes;
-  pr "\n";
+  s "\n";
   (* combinational logic in dependency order for readability *)
-  List.iter
-    (fun n ->
-      match n with
+  Array.iter
+    (fun fn ->
+      let o = id.(fn.fn_out) in
+      match fn.fn_node with
       | Comb c ->
-          pr "  assign %s = %s;\n" (sv_ident c.out)
-            (comb_expr ~attrs:c.attrs ~op:c.op ~inputs:(List.map sv_ident c.inputs)
-               ~width:c.width)
+          s "  assign "; s o; s " = ";
+          add_comb_expr b ~attrs:c.attrs ~op:c.op ~ins:(Array.map (Array.get id) fn.fn_ins) ~width:c.width;
+          s ";\n"
       | Rom r ->
-          pr "  %s begin\n    case (%s)\n" dialect.d_always_comb (sv_ident r.index);
-          Array.iteri
-            (fun i v -> pr "      %d: %s = %s;\n" i (sv_ident r.out) (bv_literal v))
-            r.table;
-          pr "      default: %s = %d'd0;\n    endcase\n  end\n" (sv_ident r.out) r.width
+          s "  "; s dialect.d_always_comb; s " begin\n    case ("; s id.(fn.fn_ins.(0)); s ")\n";
+          Array.iteri (fun i v -> s "      "; add_int b i; s ": "; s o; s " = "; add_literal b v; s ";\n") r.table;
+          s "      default: "; s o; s " = "; add_int b r.width; s "'d0;\n    endcase\n  end\n"
       | Reg _ -> ())
-    (topo_nodes m);
-  pr "\n";
-  (* sequential logic *)
-  List.iter
-    (fun (r : Netlist.reg_node) ->
-      match r with
-      | { out; next; enable; init; _ } ->
-          pr "  %s\n" dialect.d_always_ff;
-          (match init with
-          | Some v ->
-              pr "    if (rst) %s <= %s;\n    else " (sv_ident out) (bv_literal v)
-          | None -> pr "    ");
-          (match enable with
-          | Some en -> pr "%s <= %s ? %s : %s;\n" (sv_ident out) (sv_ident en) (sv_ident next) (sv_ident out)
-          | None -> pr "%s <= %s;\n" (sv_ident out) (sv_ident next)))
-    (registers m);
-  pr "\nendmodule\n";
-  Buffer.contents buf
+    f.f_comb;
+  s "\n";
+  (* sequential logic, in node order *)
+  Array.iter
+    (fun fr ->
+      let o = id.(fr.fr_out) and next = id.(fr.fr_next) in
+      s "  "; s dialect.d_always_ff; s "\n";
+      (match fr.fr_reg.init with
+      | Some v -> s "    if (rst) "; s o; s " <= "; add_literal b v; s ";\n    else "
+      | None -> s "    ");
+      s o; s " <= ";
+      (match fr.fr_enable with Some en -> s id.(en); s " ? "; s next; s " : "; s o | None -> s next);
+      s ";\n")
+    f.f_regs;
+  s "\nendmodule\n";
+  Buffer.contents b

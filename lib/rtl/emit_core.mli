@@ -3,23 +3,18 @@
     shared by every emission backend ({!Sv_emit}, {!V2001_emit}) so the
     outputs can differ only in dialect keywords. *)
 
-val sv_ident : string -> string
-val wire : int -> string -> string
-val bv_literal : Bitvec.t -> string
+val is_ident_char : char -> bool
 
-val comb_expr :
-  attrs:(string * Ir.Mir.attr) list ->
-  op:string -> inputs:string list -> width:int -> string
+(** The identifier a signal or module name is emitted as: [s] itself when
+    it is already legal, else [s] with every other character replaced by
+    ['_']. *)
+val sv_ident : string -> string
 
 (** A dialect is the set of process keywords a backend is allowed to
     change; everything else (names, declarations, ordering) is fixed. *)
-type dialect = {
-  d_name : string;
-  d_always_comb : string;
-  d_always_ff : string;
-}
+type dialect = { d_always_comb : string; d_always_ff : string }
 
 val sv : dialect
 val v2001 : dialect
 
-val emit : dialect:dialect -> Netlist.t -> string
+val emit : dialect:dialect -> Netlist.frozen -> string

@@ -17,7 +17,7 @@ let create ?(kind = Compiled) m =
 let reset = function I s -> Sim.reset s | C c -> Compiled.reset c
 
 let kind = function I _ -> Interp | C _ -> Compiled
-let netlist = function I s -> s.Sim.m | C c -> Compiled.netlist c
+let netlist = function I s -> s.Sim.frozen.f_src | C c -> Compiled.netlist c
 
 let set_input t name v =
   match t with I s -> Sim.set_input s name v | C c -> Compiled.set_input c name v

@@ -12,35 +12,31 @@
 
 open Netlist
 
-type t = {
-  m : Netlist.t;
-  values : (string, Bitvec.t) Hashtbl.t;
-  order : node list;  (* combinational nodes in dependency order *)
-}
+type t = { values : (string, Bitvec.t) Hashtbl.t; frozen : Netlist.frozen }
 
 let u w = Bitvec.unsigned_ty w
 
 (* inputs and registers start at zero / their reset value; no
    combinational signal has a value before the first [eval] *)
-let init_values m values =
+let init_values f values =
   Hashtbl.reset values;
-  List.iter (fun p -> Hashtbl.replace values p.port_signal (Bitvec.zero (u p.port_width))) m.inputs;
-  List.iter
-    (fun (r : reg_node) ->
+  List.iter (fun p -> Hashtbl.replace values p.port_signal (Bitvec.zero (u p.port_width))) f.f_src.inputs;
+  Array.iter
+    (fun { fr_reg = r; _ } ->
       Hashtbl.replace values r.out
         (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width)))
-    (registers m)
+    f.f_regs
 
 let create (m : Netlist.t) =
-  let order = topo_nodes m in
+  let frozen = freeze m in
   let values = Hashtbl.create 64 in
-  init_values m values;
-  { m; values; order }
+  init_values frozen values;
+  { values; frozen }
 
-let reset t = init_values t.m t.values
+let reset t = init_values t.frozen t.values
 
 let set_input t name v =
-  match List.find_opt (fun p -> p.port_name = name) t.m.inputs with
+  match List.find_opt (fun p -> p.port_name = name) t.frozen.f_src.inputs with
   | Some p -> Hashtbl.replace t.values p.port_signal (Bitvec.cast (u p.port_width) v)
   | None -> nl_error "no input port %s" name
 
@@ -51,9 +47,9 @@ let signal t name =
 
 (* settle combinational logic *)
 let eval t =
-  List.iter
-    (fun n ->
-      match n with
+  Array.iter
+    (fun fn ->
+      match fn.fn_node with
       | Comb c ->
           let ops = List.map (signal t) c.inputs in
           Hashtbl.replace t.values c.out
@@ -66,21 +62,21 @@ let eval t =
           in
           Hashtbl.replace t.values r.out (Bitvec.cast (u r.width) v)
       | Reg _ -> ())
-    t.order
+    t.frozen.f_comb
 
 (* advance registers (two-phase: sample all, then update) *)
 let clock t =
   let sampled =
     List.filter_map
-      (fun (r : reg_node) ->
+      (fun { fr_reg = r; _ } ->
         let en = match r.enable with None -> true | Some e -> Bitvec.to_bool (signal t e) in
         if en then Some (r.out, Bitvec.cast (u r.width) (signal t r.next)) else None)
-      (registers t.m)
+      (Array.to_list t.frozen.f_regs)
   in
   List.iter (fun (out, v) -> Hashtbl.replace t.values out v) sampled
 
 let output t name =
-  match List.find_opt (fun p -> p.port_name = name) t.m.outputs with
+  match List.find_opt (fun p -> p.port_name = name) t.frozen.f_src.outputs with
   | Some p -> Bitvec.cast (u p.port_width) (signal t p.port_signal)
   | None -> nl_error "no output port %s" name
 

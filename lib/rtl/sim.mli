@@ -11,11 +11,9 @@
    - [clock] to advance the registers. *)
 
 type t = {
-  m : Netlist.t;
-  values : (string, Bitvec.t) Hashtbl.t;
-  order : Netlist.node list;
+  values : (string, Bitvec.t) Hashtbl.t;  (** signal name -> current value *)
+  frozen : Netlist.frozen;
 }
-val u : int -> Bitvec.ty
 val create : Netlist.t -> t
 
 (** Reinitialise the values exactly as [create] does. *)

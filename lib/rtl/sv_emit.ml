@@ -6,8 +6,4 @@
    output is byte-identical to what the pre-refactor monolithic emitter
    produced (the pinned goldens in test_cache.ml hold it to that). *)
 
-let sv_ident = Emit_core.sv_ident
-let wire = Emit_core.wire
-let bv_literal = Emit_core.bv_literal
-let comb_expr = Emit_core.comb_expr
-let emit (m : Netlist.t) : string = Emit_core.emit ~dialect:Emit_core.sv m
+let emit (f : Netlist.frozen) : string = Emit_core.emit ~dialect:Emit_core.sv f

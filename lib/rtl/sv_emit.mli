@@ -1,10 +1,4 @@
 (** SystemVerilog emission from the RTL netlist (the paper uses CIRCT's
    export pipeline; Figure 5d shows the style we match). *)
 
-val sv_ident : string -> string
-val wire : int -> string -> string
-val bv_literal : Bitvec.t -> string
-val comb_expr :
-  attrs:(string * Ir.Mir.attr) list ->
-  op:string -> inputs:string list -> width:int -> string
-val emit : Netlist.t -> string
+val emit : Netlist.frozen -> string

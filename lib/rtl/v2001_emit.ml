@@ -5,14 +5,11 @@
    only: [always @*] for ROM processes and [always @(posedge clk)] for
    registers; declarations are already wire/reg in both dialects. *)
 
-let emit (m : Netlist.t) : string = Emit_core.emit ~dialect:Emit_core.v2001 m
+let emit (f : Netlist.frozen) : string = Emit_core.emit ~dialect:Emit_core.v2001 f
 
 (* SystemVerilog-only keywords that must never appear in Verilog-2001
    output. Used by the built-in lexical lint when iverilog is absent. *)
 let banned_sv_keywords = [ "always_ff"; "always_comb"; "always_latch"; "logic"; "bit"; "int" ]
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
 (* Find whole-word occurrences of [kw] in [src]; returns 1-based line
    numbers of offending occurrences. *)
@@ -24,8 +21,8 @@ let find_keyword src kw =
   while !i <= n - k do
     if src.[!i] = '\n' then incr line;
     if String.sub src !i k = kw
-       && (!i = 0 || not (is_ident_char src.[!i - 1]))
-       && (!i + k >= n || not (is_ident_char src.[!i + k]))
+       && (!i = 0 || not (Emit_core.is_ident_char src.[!i - 1]))
+       && (!i + k >= n || not (Emit_core.is_ident_char src.[!i + k]))
     then hits := !line :: !hits;
     incr i
   done;

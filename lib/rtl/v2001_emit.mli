@@ -2,7 +2,7 @@
     naming and module structure with {!Sv_emit}; output differs from the
     SystemVerilog backend only in dialect keywords. *)
 
-val emit : Netlist.t -> string
+val emit : Netlist.frozen -> string
 
 (** SystemVerilog-only keywords rejected by {!lint}. *)
 val banned_sv_keywords : string list

@@ -1,11 +1,13 @@
 #!/bin/sh
 # CI gate: both emission backends cover the full bundled-ISAX x host-core
-# grid, and the SystemVerilog backend still produces byte-identical output.
+# grid, and both backends still produce byte-identical output.
 #
 # Three checks:
-#   1. The pinned SV golden digests (test_cache "paper-core artifacts
-#      golden") still match — the emitter refactor into Emit_core must not
-#      move a single byte of the SystemVerilog backend's output.
+#   1. The pinned golden digests still match: SystemVerilog per paper core
+#      (test_cache "paper-core artifacts golden") and Verilog-2001 per
+#      bundled ISAX x registered core (test_cache "v2001 artifacts golden",
+#      test/v2001_digests.txt). An emitter change must not move a byte of
+#      either backend's output.
 #   2. Every bundled ISAX compiles for every registered core under BOTH
 #      `--emit sv` and `--emit v2001`, producing .sv / .v files plus the
 #      SCAIE-V configuration.
@@ -21,12 +23,12 @@ CLI=_build/default/bin/longnail_cli.exe
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-dune build bin/longnail_cli.exe test/test_cache.exe
+dune build bin/longnail_cli.exe test/test_cache.exe test/v2001_digests.txt
 
-# 1) byte-identical SystemVerilog: the pinned per-core artifact digests
-if ! _build/default/test/test_cache.exe test fingerprints 6 > "$TMP/golden.log" 2>&1; then
+# 1) byte-identical SystemVerilog and Verilog-2001: the pinned digests
+if ! _build/default/test/test_cache.exe test fingerprints 6,7 > "$TMP/golden.log" 2>&1; then
     cat "$TMP/golden.log" >&2
-    echo "error: the pinned SV golden digests no longer match" >&2
+    echo "error: the pinned SV or V2001 golden digests no longer match" >&2
     exit 1
 fi
 
@@ -87,4 +89,4 @@ if command -v iverilog > /dev/null 2>&1; then
 else
     how="lexically linted (iverilog not installed)"
 fi
-echo "emit-backend grid: $grid ISAX x core pairs under both backends; v2001 $how; SV goldens byte-identical"
+echo "emit-backend grid: $grid ISAX x core pairs under both backends; v2001 $how; SV and V2001 goldens byte-identical"

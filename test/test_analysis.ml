@@ -463,14 +463,134 @@ let test_netcheck () =
       ~outputs:[ { Rtl.Netlist.port_name = "o"; port_width = 8; port_signal = "a" } ]
   in
   Alcotest.(check (list string)) "register breaks the cycle" [] (codes (N.check through_reg));
-  (* verify raises on the first violation *)
+  (* freeze raises the first violation *)
   (match N.check multi with
   | d0 :: _ -> (
       try
-        N.verify multi;
+        ignore (N.freeze multi);
         Alcotest.fail "verify did not raise"
       with N.Netcheck_error d -> Alcotest.(check string) "first violation" d0.Diag.code d.Diag.code)
   | [] -> Alcotest.fail "expected violations")
+
+(* An input port whose name differs from the signal it defines: the
+   signal is what nodes read and must not drive. *)
+let test_netcheck_port_signal () =
+  let a_in = { Rtl.Netlist.port_name = "a_in"; port_width = 8; port_signal = "a" } in
+  let o = { Rtl.Netlist.port_name = "o"; port_width = 8; port_signal = "n" } in
+  let m nodes = { Rtl.Netlist.mod_name = "T"; inputs = [ a_in ]; outputs = [ o ]; nodes } in
+  let reads = m [ comb ~out:"n" ~width:8 ~op:"comb.xor" [ "a"; "a" ] ] in
+  Alcotest.(check (list string)) "reading the input's signal is clean" [] (codes (N.check reads));
+  ignore (N.freeze reads);
+  let drives =
+    m [ comb ~out:"n" ~width:8 ~op:"comb.xor" [ "a"; "a" ]; comb ~out:"a" ~width:8 ~op:"comb.xor" [ "n"; "n" ] ]
+  in
+  Alcotest.(check (list string)) "driving the input's signal" [ "E0520" ] (codes (N.check drives));
+  let twice = { reads with inputs = [ a_in; { a_in with port_name = "b_in" } ] } in
+  Alcotest.(check (list string)) "two inputs define one signal" [ "E0520" ] (codes (N.check twice))
+
+(* The topological sort [Rtl.Netlist.freeze] replaced, kept as the oracle
+   for the frozen order. *)
+let old_topo_nodes (m : Rtl.Netlist.t) =
+  let open Rtl.Netlist in
+  let comb_deps = function Comb c -> c.inputs | Rom r -> [ r.index ] | Reg _ -> [] in
+  let by_out = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      let o = node_out n in
+      if Hashtbl.mem by_out o then nl_error "signal %s defined twice" o;
+      Hashtbl.replace by_out o n)
+    m.nodes;
+  let inputs = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      if Hashtbl.mem by_out p.port_signal || Hashtbl.mem inputs p.port_signal then
+        nl_error "input %s shadows a node" p.port_signal;
+      Hashtbl.replace inputs p.port_signal ())
+    m.inputs;
+  let visited = Hashtbl.create 64 and visiting = Hashtbl.create 64 in
+  let order = ref [] in
+  let rec visit sig_name =
+    if Hashtbl.mem visited sig_name || Hashtbl.mem inputs sig_name then ()
+    else if Hashtbl.mem visiting sig_name then nl_error "combinational cycle through %s" sig_name
+    else begin
+      match Hashtbl.find_opt by_out sig_name with
+      | None -> nl_error "undefined signal %s in module %s" sig_name m.mod_name
+      | Some n ->
+          Hashtbl.replace visiting sig_name ();
+          List.iter visit (comb_deps n);
+          Hashtbl.remove visiting sig_name;
+          Hashtbl.replace visited sig_name ();
+          (match n with Reg _ -> () | _ -> order := n :: !order)
+    end
+  in
+  List.iter
+    (fun n ->
+      visit (node_out n);
+      match n with
+      | Reg r ->
+          visit r.next;
+          Option.iter visit r.enable
+      | _ -> ())
+    m.nodes;
+  List.iter (fun p -> visit p.port_signal) m.outputs;
+  List.rev !order
+
+(* A random small netlist: each input or node usually defines a fresh
+   signal and sometimes reuses a name; reads pick any signal, a later
+   node's included (so cycles and out-of-order reads arise), and now and
+   then a name nothing defines. *)
+let random_netlist seed =
+  let st = Random.State.make [| seed |] in
+  let rand n = Random.State.int st n in
+  let n_in = rand 4 and n_nodes = 1 + rand 7 in
+  let total = n_in + n_nodes in
+  let fresh = ref 0 in
+  let sig_name k = Printf.sprintf "s%d" k in
+  let def () = if rand 12 = 0 then sig_name (rand total) else (incr fresh; sig_name (!fresh - 1)) in
+  let read () = if rand 25 = 0 then "ghost" else sig_name (rand total) in
+  let inputs =
+    List.init n_in (fun i ->
+        { Rtl.Netlist.port_name = Printf.sprintf "p%d" i; port_width = 4; port_signal = def () })
+  in
+  let node _ =
+    match rand 5 with
+    | 0 -> Rtl.Netlist.Rom { out = def (); width = 4; table = [| Bitvec.of_int (u 4) 3 |]; index = read () }
+    | 1 ->
+        let out = def () in
+        Rtl.Netlist.Reg
+          { out; width = 4; next = read (); enable = (if rand 2 = 0 then Some (read ()) else None); init = None }
+    | _ ->
+        let out = def () in
+        comb ~out ~width:4 ~op:"comb.xor" (List.init (rand 3) (fun _ -> read ()))
+  in
+  let nodes = List.init n_nodes node in
+  let outputs =
+    List.init (rand 3) (fun i ->
+        { Rtl.Netlist.port_name = Printf.sprintf "o%d" i; port_width = 4; port_signal = read () })
+  in
+  { Rtl.Netlist.mod_name = "R"; inputs; outputs; nodes }
+
+let prop_freeze_is_netcheck =
+  QCheck.Test.make ~name:"freeze accepts what netcheck accepts" ~count:2000 QCheck.int (fun seed ->
+      let m = random_netlist seed in
+      let ds = N.check m in
+      let attempt f = try Ok (f m) with Rtl.Netlist.Netlist_error e -> Error e in
+      match (attempt Rtl.Netlist.freeze, attempt old_topo_nodes) with
+      | Ok f, Ok order ->
+          ds = []
+          && List.equal ( == ) order (Array.to_list (Array.map (fun fn -> fn.Rtl.Netlist.fn_node) f.f_comb))
+          && List.equal ( == )
+               (List.filter_map (function Rtl.Netlist.Reg r -> Some r | _ -> None) m.nodes)
+               (Array.to_list (Array.map (fun fr -> fr.Rtl.Netlist.fr_reg) f.f_regs))
+      | Error _, Error _ -> (
+          match ds with
+          | [] -> false
+          | d0 :: _ -> (
+              try
+                ignore (N.freeze m);
+                false
+              with N.Netcheck_error d -> d.Diag.code = d0.Diag.code))
+      | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "freeze and the old sort disagree: %s" e)
 
 let test_signal_provenance () =
   let tu = Isax.Registry.compile_by_name "dotprod" in
@@ -978,6 +1098,8 @@ let () =
         [
           Alcotest.test_case "structural violations" `Quick test_netcheck;
           Alcotest.test_case "signal provenance" `Quick test_signal_provenance;
+          Alcotest.test_case "input port signal" `Quick test_netcheck_port_signal;
+          QCheck_alcotest.to_alcotest prop_freeze_is_netcheck;
         ] );
       ( "verify-each",
         [ Alcotest.test_case "byte-identical grid" `Slow test_verify_each_equivalent ] );

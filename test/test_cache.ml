@@ -200,6 +200,39 @@ let test_paper_core_artifacts_golden () =
         (Digest.to_hex (Digest.string (Buffer.contents buf))))
     (Scaiev.Core_registry.paper_datasheets ())
 
+(* The Verilog-2001 bytes are pinned too: one digest per bundled ISAX on
+   every registered core over the emitted .v text of each functionality,
+   checked against v2001_digests.txt ("ISAX CORE DIGEST" lines, copied
+   next to this executable by the test stanza). *)
+let v2001_digests () =
+  let session = Longnail.Flow.create_session () in
+  let knobs = Longnail.Flow.knobs ~backend:Rtl.Backend.V2001 () in
+  let request = Longnail.Flow.Request.make ~session ~knobs () in
+  List.concat_map
+    (fun (e : Isax.Registry.entry) ->
+      let tu = Isax.Registry.compile e in
+      List.map
+        (fun (core : Scaiev.Datasheet.t) ->
+          let c = Longnail.Flow.compile_request request core tu in
+          let buf = Buffer.create (1 lsl 14) in
+          List.iter
+            (fun (f : Longnail.Flow.compiled_functionality) ->
+              Buffer.add_string buf f.cf_name;
+              Buffer.add_char buf '\n';
+              Buffer.add_string buf f.cf_sv)
+            c.funcs;
+          Printf.sprintf "%s %s %s" e.name core.core_name
+            (Digest.to_hex (Digest.string (Buffer.contents buf))))
+        (Scaiev.Core_registry.datasheets ()))
+    Isax.Registry.all
+
+let test_v2001_artifacts_golden () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "v2001_digests.txt" in
+  let ic = open_in path in
+  let pinned = In_channel.input_all ic |> String.split_on_char '\n' |> List.filter (( <> ) "") in
+  close_in ic;
+  Alcotest.(check (list string)) "v2001 bytes per ISAX x core" pinned (v2001_digests ())
+
 (* ---- sessions ---- *)
 
 (* recompiling an identical target within a session is served entirely
@@ -543,6 +576,7 @@ let () =
           Alcotest.test_case "datasheets distinct" `Quick test_datasheet_fp_distinct;
           Alcotest.test_case "paper-core artifacts golden" `Slow
             test_paper_core_artifacts_golden;
+          Alcotest.test_case "v2001 artifacts golden" `Slow test_v2001_artifacts_golden;
         ] );
       ( "disk",
         [

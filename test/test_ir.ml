@@ -467,9 +467,68 @@ let prop_optimize_matches_reference =
       same_as_reference "random" g;
       true)
 
+(* The cse key as it was first written, one [Printf.sprintf] per op: the
+   oracle for [Passes.cse_key]. *)
+let sprintf_cse_key ~canon (op : Mir.op) =
+  let operands = List.map (fun (v : Mir.value) -> string_of_int (canon v).Mir.vid) op.operands in
+  let results = List.map (fun (r : Mir.value) -> Bitvec.ty_to_string r.vty) op.results in
+  let attrs =
+    List.map
+      (fun (k, a) ->
+        Printf.sprintf "%s=%s" k
+          (match a with
+          | Mir.A_int i -> string_of_int i
+          | Mir.A_str s -> s
+          | Mir.A_bv v -> Bitvec.to_hex_string v ^ "/" ^ string_of_int (Bitvec.width v)
+          | Mir.A_bool b -> string_of_bool b))
+      op.attrs
+  in
+  Printf.sprintf "%s(%s){%s}:%s" op.opname (String.concat "," operands) (String.concat "," attrs)
+    (String.concat "," results)
+
+(* a random op with every attr kind, signed and unsigned result types and
+   a random substitution of its operands; one buffer serves every case *)
+let prop_cse_key_matches_sprintf =
+  let buf = Buffer.create 16 in
+  QCheck.Test.make ~name:"cse key equals the sprintf key" ~count:500 QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rand n = Random.State.int st n in
+      let ty () = Bitvec.ty ~width:(1 + rand 80) ~signed:(rand 2 = 0) in
+      let value () = { Mir.vid = rand 1000; vty = ty (); vhint = "" } in
+      let list n f = List.init (rand n) (fun _ -> f ()) in
+      let attr () =
+        match rand 4 with
+        | 0 -> Mir.A_int (rand 2000 - 1000)
+        | 1 -> Mir.A_str (List.nth [ ""; "x"; "a,b"; "lil.rom" ] (rand 4))
+        | 2 ->
+            let w = 1 + rand 100 in
+            Mir.A_bv (Bitvec.of_bn (Bitvec.unsigned_ty w) (Bitvec.Bn.of_int (rand 1_000_000)))
+        | _ -> Mir.A_bool (rand 2 = 0)
+      in
+      let op =
+        {
+          Mir.oid = 0;
+          opname = List.nth [ "comb.add"; "comb.extract"; "hw.constant"; "lil.rom" ] (rand 4);
+          operands = list 4 value;
+          results = list 3 value;
+          attrs = list 4 (fun () -> (List.nth [ "value"; "lowBit"; "k" ] (rand 3), attr ()));
+          regions = [];
+          oloc = None;
+        }
+      in
+      let subst = Hashtbl.create 4 in
+      List.iter (fun (v : Mir.value) -> if rand 2 = 0 then Hashtbl.replace subst v.vid (value ())) op.operands;
+      let canon (v : Mir.value) = Option.value (Hashtbl.find_opt subst v.vid) ~default:v in
+      Passes.cse_key buf ~canon op = sprintf_cse_key ~canon op)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_optimize_preserves_semantics; prop_dce_matches_fixpoint; prop_optimize_matches_reference ]
+    [
+      prop_optimize_preserves_semantics;
+      prop_dce_matches_fixpoint;
+      prop_optimize_matches_reference;
+      prop_cse_key_matches_sprintf;
+    ]
 
 let () =
   Alcotest.run "ir"

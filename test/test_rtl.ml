@@ -95,7 +95,7 @@ let test_comb_cycle_detected () =
     }
   in
   try
-    Netlist.validate m;
+    ignore (Netlist.freeze m);
     Alcotest.fail "expected cycle error"
   with Netlist.Netlist_error _ -> ()
 
@@ -109,7 +109,7 @@ let test_undefined_signal_detected () =
     }
   in
   try
-    Netlist.validate m;
+    ignore (Netlist.freeze m);
     Alcotest.fail "expected undefined signal"
   with Netlist.Netlist_error _ -> ()
 
@@ -120,7 +120,7 @@ let test_stats () =
   check_int "combs" 2 st.Netlist.n_comb_nodes
 
 let test_sv_emission () =
-  let sv = Sv_emit.emit counter_module in
+  let sv = Sv_emit.emit (Netlist.freeze counter_module) in
   check_bool "module header" true (contains sv "module counter(");
   check_bool "always_ff" true (contains sv "always_ff @(posedge clk)");
   check_bool "reset value" true (contains sv "if (rst)");
@@ -341,7 +341,8 @@ let test_engine_kind_parse () =
 (* ---- Verilog-2001 backend ---- *)
 
 let test_v2001_emission () =
-  let v = V2001_emit.emit counter_module in
+  let f = Netlist.freeze counter_module in
+  let v = V2001_emit.emit f in
   check_bool "module header" true (contains v "module counter(");
   check_bool "always @(posedge clk)" true (contains v "always @(posedge clk)");
   check_bool "reset value" true (contains v "if (rst)");
@@ -350,8 +351,8 @@ let test_v2001_emission () =
   check_bool "no always_comb" true (not (contains v "always_comb"));
   check_bool "no logic decls" true (not (contains v "logic"));
   check_bool "own output lints clean" true (V2001_emit.lint v = []);
-  check_bool "backend dispatch" true (Backend.emit Backend.V2001 counter_module = v);
-  check_bool "sv backend unchanged" true (Backend.emit Backend.Sv counter_module = Sv_emit.emit counter_module)
+  check_bool "backend dispatch" true (Backend.emit Backend.V2001 f = v);
+  check_bool "sv backend unchanged" true (Backend.emit Backend.Sv f = Sv_emit.emit f)
 
 let test_v2001_lint_catches_sv () =
   match V2001_emit.lint "module m;\nalways_comb begin\nend\nendmodule\n" with
@@ -364,7 +365,7 @@ let test_v2001_generated_isax () =
   let tu = Coredsl.compile_rv32i () in
   let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
   let f = Longnail.Flow.compile_functionality Scaiev.Datasheet.vexriscv tu (`Instr addi) in
-  let v = Backend.emit Backend.V2001 f.Longnail.Flow.cf_hw.Longnail.Hwgen.netlist in
+  let v = Backend.emit Backend.V2001 (Netlist.freeze f.Longnail.Flow.cf_hw.Longnail.Hwgen.netlist) in
   check_bool "module named ADDI" true (contains v "module ADDI(");
   check_bool "lints clean" true (V2001_emit.lint v = [])
 
@@ -423,7 +424,7 @@ let prop_engines_agree =
             @ [ Netlist.Reg { out = "q"; width = w; next = last; enable = Some "c"; init = Some (Bitvec.zero (u w)) } ];
         }
       in
-      Netlist.validate m;
+      ignore (Netlist.freeze m);
       let drive cycle =
         [
           ("a", Bitvec.of_int (u w) (Hashtbl.hash (seed, cycle, "a")));
@@ -492,7 +493,7 @@ let prop_engine_reset =
     (QCheck.pair (QCheck.int_bound 12) (QCheck.int_bound 1_000_000))
     (fun (cycles, seed) ->
       let m = reset_module in
-      Netlist.validate m;
+      ignore (Netlist.freeze m);
       let signals =
         List.map (fun (p : Netlist.port) -> p.port_signal) m.inputs @ List.map Netlist.node_out m.nodes
       in
